@@ -22,6 +22,8 @@ fmt-check:
 		echo "gofmt: the following files need formatting:"; echo "$$out"; exit 1; fi
 
 # Pre-merge verification: formatting, build, vet, the full test suite,
+# vet + tests of the separate perfbench benchmark module (so a rename of
+# anything it imports fails here rather than at the next benchmark run),
 # a race-detector pass over the packages with concurrent hot paths (the
 # DES kernel, the metrics registry, the flight recorder, the shared
 # worker pool, the solver workspaces, the sweep/Monte-Carlo drivers, the
@@ -70,6 +72,7 @@ verify: fmt-check
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -race ./internal/des/... ./internal/obs/... ./internal/progress/... ./internal/trace/... ./internal/ctmc/... ./internal/jsas/... ./internal/pool/... ./internal/sensitivity/... ./internal/testbed/... ./internal/uncertainty/... ./internal/faultinject/... ./internal/workload/... ./internal/httpapi/... ./internal/jobs/... ./internal/bayes/...
 	@echo "verify: cross-validating the bayes backend against the CTMC engine"
 	$(GO) test -run 'TestBayesCTMCCrossValidation|TestClusterBackendsAgree|TestRedundancyBackendsAgree' -count=1 ./internal/jsas ./internal/spec

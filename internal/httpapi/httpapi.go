@@ -12,16 +12,11 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/backend"
-	"repro/internal/ctmc"
 	"repro/internal/jobs"
-	"repro/internal/jsas"
 	"repro/internal/obs"
-	"repro/internal/progress"
 	"repro/internal/reward"
 	"repro/internal/spec"
 	"repro/internal/trace"
-	"repro/internal/uncertainty"
 )
 
 // maxBodyBytes bounds accepted request bodies (model documents are small).
@@ -139,15 +134,21 @@ type Options struct {
 //	POST /v1/solve              flat spec.Document → SolveResponse;
 //	                            redundancy documents (or ?backend=bayes)
 //	                            → BackendSolveResponse via the selected
-//	                            solver backend
+//	                            solver backend (job kind "solve", or
+//	                            "bayes" for ?backend=bayes)
 //	POST /v1/solve-hierarchy    spec.HierDocument → HierSolveResponse
+//	                            (job kind "solve-hierarchy")
 //	GET  /v1/jsas               ?instances=&pairs=&spares= → JSASResponse
+//	                            (job kind "jsas")
 //	GET  /v1/jsas/uncertainty   ?instances=&pairs=&samples=&seed= →
-//	                            UncertaintyResponse
+//	                            UncertaintyResponse (job kind "uncertainty")
 //	GET  /v1/traces             trace IDs retained by the flight recorder
 //	GET  /v1/traces/{id}        one trace's spans (JSON; ?format=chrome
 //	                            for Chrome trace_event, ?format=timeline
 //	                            for plain text, ?format=jsonl)
+//
+// Each sync compute route runs its job kind's task inline (see kinds.go):
+// its 200 body is that job's result plus a newline.
 //
 // With Options.PProf the net/http/pprof endpoints are mounted at
 // /debug/pprof/.
@@ -182,10 +183,13 @@ func NewHandler(opts ...Options) http.Handler {
 	mux.HandleFunc("GET /v1/jobs", instrument("/v1/jobs", recovered(ja.handleJobList)))
 	mux.HandleFunc("GET /v1/jobs/{id}", instrument("/v1/jobs/id", recovered(ja.handleJobGet)))
 	mux.HandleFunc("GET /v1/jobs/{id}/stream", instrument("/v1/jobs/id/stream", recovered(ja.handleJobStream)))
-	mux.HandleFunc("POST /v1/solve", instrument("/v1/solve", recovered(shed(handleSolve))))
-	mux.HandleFunc("POST /v1/solve-hierarchy", instrument("/v1/solve-hierarchy", recovered(shed(handleSolveHierarchy))))
-	mux.HandleFunc("GET /v1/jsas", instrument("/v1/jsas", recovered(shed(handleJSAS))))
-	mux.HandleFunc("GET /v1/jsas/uncertainty", instrument("/v1/jsas/uncertainty", recovered(shed(handleJSASUncertainty))))
+	mux.HandleFunc("POST /v1/solve", instrument("/v1/solve",
+		recovered(shed(syncRoute("model document", decodeSolve)))))
+	mux.HandleFunc("POST /v1/solve-hierarchy", instrument("/v1/solve-hierarchy",
+		recovered(shed(syncRoute("hierarchy document", decodeSolveHierarchy)))))
+	mux.HandleFunc("GET /v1/jsas", instrument("/v1/jsas", recovered(shed(syncRoute("", decodeJSAS)))))
+	mux.HandleFunc("GET /v1/jsas/uncertainty", instrument("/v1/jsas/uncertainty",
+		recovered(shed(syncRoute("", decodeUncertainty)))))
 	mux.HandleFunc("GET /v1/traces", instrument("/v1/traces", recovered(handleTraceList)))
 	mux.HandleFunc("GET /v1/traces/{id}", instrument("/v1/traces/id", recovered(handleTraceGet)))
 	if o.PProf {
@@ -357,77 +361,6 @@ func handleTraceGet(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func handleSolve(w http.ResponseWriter, r *http.Request) {
-	doc, err := spec.Parse(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		if bodyTooLarge(err) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("model document exceeds %d bytes", maxBodyBytes))
-			return
-		}
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	kind, err := backend.ParseKind(r.URL.Query().Get("backend"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	// Redundancy documents (and any explicit backend selection) route
-	// through the multi-backend interface; the classic flat-CTMC path
-	// below keeps its richer report (π vector, MTBF, equivalent rates).
-	if doc.Redundancy != nil || kind != backend.KindCTMC {
-		handleSolveBackend(w, r, doc, kind)
-		return
-	}
-	structure, err := doc.Compile(nil)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	// The solve derives from the request context: a client that
-	// disconnects mid-solve cancels the work instead of leaving it
-	// running to completion for nobody.
-	res, err := structure.Solve(ctmc.SolveOptions{Ctx: r.Context()})
-	if err != nil {
-		writeError(w, statusForSolveError(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, solveResponse(doc.Name, structure, res))
-}
-
-// handleSolveBackend solves a redundancy document on the selected
-// backend. Model construction is the compile step of this path, so its
-// failures — validation errors and the product state-space cap
-// (hier.MaxProductStates, reached when a large replication count is sent
-// to the ctmc backend) — are request defects and answer 400, exactly
-// like Compile on the flat path.
-func handleSolveBackend(w http.ResponseWriter, r *http.Request, doc *spec.Document, kind backend.Kind) {
-	m, err := doc.Model(kind, nil)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	res, err := m.Solve(r.Context())
-	if err != nil {
-		writeError(w, statusForSolveError(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, backendSolveResponse(res))
-}
-
-// backendSolveResponse shapes a multi-backend result for both the sync
-// endpoint and the async bayes job runner.
-func backendSolveResponse(res *backend.Result) BackendSolveResponse {
-	return BackendSolveResponse{
-		Model:                 res.Name,
-		Backend:               string(res.Backend),
-		Size:                  res.Size,
-		Availability:          res.Availability,
-		YearlyDowntimeMinutes: res.YearlyDowntimeMinutes,
-	}
-}
-
 func solveResponse(name string, s *reward.Structure, res *reward.Result) SolveResponse {
 	m := s.Model()
 	pi := make(map[string]float64, m.NumStates())
@@ -447,25 +380,6 @@ func solveResponse(name string, s *reward.Structure, res *reward.Result) SolveRe
 	}
 }
 
-func handleSolveHierarchy(w http.ResponseWriter, r *http.Request) {
-	doc, err := spec.ParseHier(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		if bodyTooLarge(err) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("hierarchy document exceeds %d bytes", maxBodyBytes))
-			return
-		}
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	ev, err := doc.SolveCtx(r.Context(), nil)
-	if err != nil {
-		writeError(w, statusForSolveError(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, hierResponse(ev))
-}
-
 func hierResponse(ev *spec.HierEvaluation) HierSolveResponse {
 	out := HierSolveResponse{
 		Name:                  ev.Name,
@@ -478,144 +392,6 @@ func hierResponse(ev *spec.HierEvaluation) HierSolveResponse {
 		out.Children = append(out.Children, hierResponse(c))
 	}
 	return out
-}
-
-func handleJSAS(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	cfg := jsas.Config{}
-	var err error
-	if cfg.ASInstances, err = boundedIntParam("instances", q.Get("instances"), 2, 1, maxInstances); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if cfg.HADBPairs, err = boundedIntParam("pairs", q.Get("pairs"), 2, 0, maxPairs); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if cfg.HADBSpares, err = boundedIntParam("spares", q.Get("spares"), 2, 0, maxSpares); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	res, err := jsas.Solve(cfg, jsas.DefaultParams())
-	if err != nil {
-		if errors.Is(err, jsas.ErrBadConfig) {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, JSASResponse{
-		Instances:             cfg.ASInstances,
-		Pairs:                 cfg.HADBPairs,
-		Spares:                cfg.HADBSpares,
-		Availability:          res.Availability,
-		YearlyDowntimeMinutes: res.YearlyDowntimeMinutes,
-		DowntimeASMinutes:     res.DowntimeASMinutes,
-		DowntimeHADBMinutes:   res.DowntimeHADBMinutes,
-		MTBFHours:             res.MTBFHours,
-	})
-}
-
-// Work bounds on the parameterized endpoints: each unit expands the state
-// space (instances/pairs/spares) or multiplies solves (samples), so an
-// unbounded query parameter is an unbounded CPU grant to any client. The
-// caps sit far above the paper's configurations (≤ 8 instances, ≤ 4
-// pairs) while keeping worst-case requests small.
-const (
-	maxInstances          = 64
-	maxPairs              = 64
-	maxSpares             = 64
-	maxUncertaintySamples = 20000
-)
-
-func handleJSASUncertainty(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	cfg := jsas.Config{HADBSpares: 2}
-	var err error
-	if cfg.ASInstances, err = boundedIntParam("instances", q.Get("instances"), 2, 1, maxInstances); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if cfg.HADBPairs, err = boundedIntParam("pairs", q.Get("pairs"), 2, 0, maxPairs); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	samples, err := boundedIntParam("samples", q.Get("samples"), 1000, 1, maxUncertaintySamples)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	seed64, err := intParam(q.Get("seed"), 2004)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("seed: %w", err))
-		return
-	}
-	// The solve is registered as a tracked run so GET /v1/runs can show
-	// its live completion count and ETA while it executes.
-	run := serverRuns.Begin("uncertainty",
-		fmt.Sprintf("instances=%d pairs=%d samples=%d seed=%d",
-			cfg.ASInstances, cfg.HADBPairs, samples, seed64),
-		int64(samples),
-		progress.WithUnit("samples"), progress.WithStat("downtimeMin"))
-	res, err := uncertainty.RunCtx(r.Context(),
-		jsas.PaperUncertaintyRanges(),
-		jsas.UncertaintySolver(cfg, jsas.DefaultParams()),
-		uncertainty.Options{Samples: samples, Seed: int64(seed64), Progress: run.Tracker()},
-	)
-	run.Finish(err)
-	if err != nil {
-		if errors.Is(err, jsas.ErrBadConfig) {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		writeError(w, statusForSolveError(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, uncertaintyResponse(cfg, res))
-}
-
-// uncertaintyResponse shapes an analysis result for both the sync
-// endpoint and the async job runner — one shape, one set of bytes.
-func uncertaintyResponse(cfg jsas.Config, res *uncertainty.Result) UncertaintyResponse {
-	ci80 := res.CIs[0.80]
-	ci90 := res.CIs[0.90]
-	return UncertaintyResponse{
-		Instances:         cfg.ASInstances,
-		Pairs:             cfg.HADBPairs,
-		Samples:           res.Summary.N,
-		MeanDowntimeMin:   res.Summary.Mean,
-		CI80Low:           ci80.Low,
-		CI80High:          ci80.High,
-		CI90Low:           ci90.Low,
-		CI90High:          ci90.High,
-		FractionFiveNines: res.FractionBelow(5.25),
-	}
-}
-
-func intParam(s string, def int) (int, error) {
-	if s == "" {
-		return def, nil
-	}
-	v, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, fmt.Errorf("want an integer, got %q", s)
-	}
-	return v, nil
-}
-
-// boundedIntParam parses a query parameter that sizes server-side work,
-// rejecting values outside [min, max] so a single request cannot demand
-// an arbitrarily large model or sample count.
-func boundedIntParam(name, s string, def, min, max int) (int, error) {
-	v, err := intParam(s, def)
-	if err != nil {
-		return 0, fmt.Errorf("%s: %w", name, err)
-	}
-	if v < min || v > max {
-		return 0, fmt.Errorf("%s %d outside [%d, %d]", name, v, min, max)
-	}
-	return v, nil
 }
 
 // obsEncodeFailures counts responses whose JSON encoding failed after

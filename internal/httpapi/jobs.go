@@ -1,8 +1,8 @@
 // Async job API: POST /v1/jobs canonicalizes a request to a stable
 // content hash and submits it to the jobs engine; GET /v1/jobs/{id}
 // polls status and result; GET /v1/jobs/{id}/stream pushes live status
-// frames over Server-Sent Events. Every job kind mirrors a synchronous
-// endpoint (plus "campaign", which has no sync form — a 100k-injection
+// frames over Server-Sent Events. Every job kind but "campaign" shares
+// its task with a synchronous endpoint (see kinds.go; a 100k-injection
 // campaign does not belong in a request/response cycle), and because
 // every kind is a deterministic function of its canonicalized request,
 // a repeat submission is served from cache byte-identically to a fresh
@@ -11,8 +11,6 @@
 package httpapi
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -21,15 +19,8 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/backend"
-	"repro/internal/ctmc"
-	"repro/internal/faultinject"
 	"repro/internal/jobs"
-	"repro/internal/jsas"
 	"repro/internal/progress"
-	"repro/internal/spec"
-	"repro/internal/testbed"
-	"repro/internal/uncertainty"
 )
 
 // Job kinds accepted by POST /v1/jobs.
@@ -45,20 +36,13 @@ const (
 // jobKindsHelp lists the valid kinds for 400 bodies.
 const jobKindsHelp = "solve, solve-hierarchy, jsas, uncertainty, campaign, bayes"
 
-// Campaign work bounds, in the same spirit as the sync-endpoint caps: an
-// injection count is a CPU grant, so it is bounded well above the
-// paper's 3,287-injection campaign but below open-ended.
-const (
-	maxCampaignInjections = 200000
-	maxCampaignReplicas   = 64
-)
-
 // jobSubmitRequest is the POST /v1/jobs envelope.
 type jobSubmitRequest struct {
 	Kind string `json:"kind"`
-	// Request is the kind-specific payload: a spec.Document for "solve",
-	// a spec.HierDocument for "solve-hierarchy", parameter objects for
-	// "jsas" / "uncertainty" / "campaign". Omitted = {} (kind defaults).
+	// Request is the kind-specific payload: a spec.Document for "solve"
+	// and "bayes", a spec.HierDocument for "solve-hierarchy", parameter
+	// objects for "jsas" / "uncertainty" / "campaign". Omitted = {} (kind
+	// defaults).
 	Request json.RawMessage `json:"request"`
 }
 
@@ -132,7 +116,10 @@ func (a *jobAPI) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("job envelope: %w", err))
 		return
 	}
-	task, err := buildJobTask(env.Kind, env.Request)
+	canonical, task, err := buildJobTask(env.Kind, env.Request)
+	if err == nil {
+		task.Hash, err = jobs.CanonicalHash(env.Kind, canonical)
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -245,471 +232,6 @@ func (a *jobAPI) handleJobStream(w http.ResponseWriter, r *http.Request) {
 		case <-ticker.C:
 		}
 	}
-}
-
-// buildJobTask validates and canonicalizes one submission into an
-// engine task. All errors are client errors (400): the payload failed
-// to parse, validate, or stay within the work bounds.
-func buildJobTask(kind string, raw json.RawMessage) (jobs.Task, error) {
-	if len(raw) == 0 {
-		raw = json.RawMessage("{}")
-	}
-	switch kind {
-	case JobKindSolve:
-		return buildSolveTask(raw)
-	case JobKindSolveHierarchy:
-		return buildSolveHierarchyTask(raw)
-	case JobKindJSAS:
-		return buildJSASTask(raw)
-	case JobKindUncertainty:
-		return buildUncertaintyTask(raw)
-	case JobKindCampaign:
-		return buildCampaignTask(raw)
-	case JobKindBayes:
-		return buildBayesTask(raw)
-	case "":
-		return jobs.Task{}, fmt.Errorf("job kind missing; want one of: %s", jobKindsHelp)
-	default:
-		return jobs.Task{}, fmt.Errorf("unknown job kind %q; want one of: %s", kind, jobKindsHelp)
-	}
-}
-
-// buildSolveTask canonicalizes a flat model document. Parsing then
-// re-marshaling the typed document is the canonicalization: field order
-// normalizes to declaration order, parameter maps to sorted keys.
-func buildSolveTask(raw json.RawMessage) (jobs.Task, error) {
-	doc, err := spec.Parse(bytes.NewReader(raw))
-	if err != nil {
-		return jobs.Task{}, err
-	}
-	// Compile errors (unsolvable structure references) belong to the
-	// submitter, so surface them at submit time rather than as a failed job.
-	if _, err := doc.Compile(nil); err != nil {
-		return jobs.Task{}, err
-	}
-	hash, err := jobs.CanonicalHash(JobKindSolve, doc)
-	if err != nil {
-		return jobs.Task{}, err
-	}
-	return jobs.Task{
-		Kind:   JobKindSolve,
-		Hash:   hash,
-		Detail: fmt.Sprintf("model=%s states=%d", doc.Name, len(doc.States)),
-		Total:  1,
-		Run: func(ctx context.Context, tr *progress.Tracker) (json.RawMessage, error) {
-			structure, err := doc.Compile(nil)
-			if err != nil {
-				return nil, err
-			}
-			res, err := structure.Solve(ctmc.SolveOptions{Ctx: ctx})
-			if err != nil {
-				return nil, err
-			}
-			tr.Done()
-			return json.Marshal(solveResponse(doc.Name, structure, res))
-		},
-	}, nil
-}
-
-// buildBayesTask canonicalizes a redundancy-structure document for the
-// Bayesian-network backend. Large replicated structures are exactly the
-// workload the async path exists for: a 100-instance cluster solves in
-// milliseconds, but layered noisy-OR stacks can run long enough that a
-// request/response cycle is the wrong shape. Canonicalization is the
-// same parse/re-marshal normalization as "solve"; the kind string keeps
-// bayes hashes disjoint from ctmc solves of the same document.
-func buildBayesTask(raw json.RawMessage) (jobs.Task, error) {
-	doc, err := spec.Parse(bytes.NewReader(raw))
-	if err != nil {
-		return jobs.Task{}, err
-	}
-	if doc.Redundancy == nil {
-		return jobs.Task{}, fmt.Errorf("bayes job wants a redundancy document (a flat state/transition model belongs to kind %q)", JobKindSolve)
-	}
-	// Model-construction errors (validation, unbuildable structure) belong
-	// to the submitter, so surface them at submit time as a 400 rather
-	// than as a failed job.
-	if _, err := doc.Model(backend.KindBayes, nil); err != nil {
-		return jobs.Task{}, err
-	}
-	hash, err := jobs.CanonicalHash(JobKindBayes, doc)
-	if err != nil {
-		return jobs.Task{}, err
-	}
-	return jobs.Task{
-		Kind: JobKindBayes,
-		Hash: hash,
-		Detail: fmt.Sprintf("model=%s nodes=%d leaves=%d",
-			doc.Name, len(doc.Redundancy.Nodes), doc.Redundancy.LeafCount()),
-		Total: 1,
-		Run: func(ctx context.Context, tr *progress.Tracker) (json.RawMessage, error) {
-			res, err := doc.SolveBackend(ctx, backend.KindBayes, nil)
-			if err != nil {
-				return nil, err
-			}
-			tr.Done()
-			return json.Marshal(backendSolveResponse(res))
-		},
-	}, nil
-}
-
-// buildSolveHierarchyTask canonicalizes a hierarchical document.
-func buildSolveHierarchyTask(raw json.RawMessage) (jobs.Task, error) {
-	doc, err := spec.ParseHier(bytes.NewReader(raw))
-	if err != nil {
-		return jobs.Task{}, err
-	}
-	if _, err := doc.Compile(nil); err != nil {
-		return jobs.Task{}, err
-	}
-	hash, err := jobs.CanonicalHash(JobKindSolveHierarchy, doc)
-	if err != nil {
-		return jobs.Task{}, err
-	}
-	return jobs.Task{
-		Kind:   JobKindSolveHierarchy,
-		Hash:   hash,
-		Detail: fmt.Sprintf("hierarchy=%s models=%d", doc.Name, len(doc.Models)),
-		Total:  1,
-		Run: func(ctx context.Context, tr *progress.Tracker) (json.RawMessage, error) {
-			ev, err := doc.SolveCtx(ctx, nil)
-			if err != nil {
-				return nil, err
-			}
-			tr.Done()
-			return json.Marshal(hierResponse(ev))
-		},
-	}, nil
-}
-
-// jsasJobRequest is the "jsas" payload; pointers distinguish omitted
-// fields (kind defaults) from explicit values, so the canonical form
-// normalizes {"instances":2} and {} to the same hash.
-type jsasJobRequest struct {
-	Instances *int `json:"instances"`
-	Pairs     *int `json:"pairs"`
-	Spares    *int `json:"spares"`
-}
-
-// jsasJobCanonical is the normalized "jsas" request the hash covers.
-type jsasJobCanonical struct {
-	Instances int `json:"instances"`
-	Pairs     int `json:"pairs"`
-	Spares    int `json:"spares"`
-}
-
-// decodeStrict unmarshals raw into v rejecting unknown fields.
-func decodeStrict(raw json.RawMessage, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
-}
-
-// boundedField applies the sync-endpoint bounds to an optional field.
-func boundedField(name string, p *int, def, min, max int) (int, error) {
-	v := def
-	if p != nil {
-		v = *p
-	}
-	if v < min || v > max {
-		return 0, fmt.Errorf("%s %d outside [%d, %d]", name, v, min, max)
-	}
-	return v, nil
-}
-
-func buildJSASTask(raw json.RawMessage) (jobs.Task, error) {
-	var req jsasJobRequest
-	if err := decodeStrict(raw, &req); err != nil {
-		return jobs.Task{}, fmt.Errorf("jsas request: %w", err)
-	}
-	var can jsasJobCanonical
-	var err error
-	if can.Instances, err = boundedField("instances", req.Instances, 2, 1, maxInstances); err != nil {
-		return jobs.Task{}, err
-	}
-	if can.Pairs, err = boundedField("pairs", req.Pairs, 2, 0, maxPairs); err != nil {
-		return jobs.Task{}, err
-	}
-	if can.Spares, err = boundedField("spares", req.Spares, 2, 0, maxSpares); err != nil {
-		return jobs.Task{}, err
-	}
-	hash, err := jobs.CanonicalHash(JobKindJSAS, can)
-	if err != nil {
-		return jobs.Task{}, err
-	}
-	cfg := jsas.Config{ASInstances: can.Instances, HADBPairs: can.Pairs, HADBSpares: can.Spares}
-	return jobs.Task{
-		Kind:   JobKindJSAS,
-		Hash:   hash,
-		Detail: fmt.Sprintf("instances=%d pairs=%d spares=%d", can.Instances, can.Pairs, can.Spares),
-		Total:  1,
-		Run: func(_ context.Context, tr *progress.Tracker) (json.RawMessage, error) {
-			res, err := jsas.Solve(cfg, jsas.DefaultParams())
-			if err != nil {
-				return nil, err
-			}
-			tr.Done()
-			return json.Marshal(JSASResponse{
-				Instances:             cfg.ASInstances,
-				Pairs:                 cfg.HADBPairs,
-				Spares:                cfg.HADBSpares,
-				Availability:          res.Availability,
-				YearlyDowntimeMinutes: res.YearlyDowntimeMinutes,
-				DowntimeASMinutes:     res.DowntimeASMinutes,
-				DowntimeHADBMinutes:   res.DowntimeHADBMinutes,
-				MTBFHours:             res.MTBFHours,
-			})
-		},
-	}, nil
-}
-
-// uncertaintyJobRequest is the "uncertainty" payload.
-type uncertaintyJobRequest struct {
-	Instances *int   `json:"instances"`
-	Pairs     *int   `json:"pairs"`
-	Samples   *int   `json:"samples"`
-	Seed      *int64 `json:"seed"`
-}
-
-// uncertaintyJobCanonical is the normalized form the hash covers. Spares
-// are pinned to 2 exactly like the synchronous endpoint.
-type uncertaintyJobCanonical struct {
-	Instances int   `json:"instances"`
-	Pairs     int   `json:"pairs"`
-	Samples   int   `json:"samples"`
-	Seed      int64 `json:"seed"`
-}
-
-func buildUncertaintyTask(raw json.RawMessage) (jobs.Task, error) {
-	var req uncertaintyJobRequest
-	if err := decodeStrict(raw, &req); err != nil {
-		return jobs.Task{}, fmt.Errorf("uncertainty request: %w", err)
-	}
-	var can uncertaintyJobCanonical
-	var err error
-	if can.Instances, err = boundedField("instances", req.Instances, 2, 1, maxInstances); err != nil {
-		return jobs.Task{}, err
-	}
-	if can.Pairs, err = boundedField("pairs", req.Pairs, 2, 0, maxPairs); err != nil {
-		return jobs.Task{}, err
-	}
-	if can.Samples, err = boundedField("samples", req.Samples, 1000, 1, maxUncertaintySamples); err != nil {
-		return jobs.Task{}, err
-	}
-	can.Seed = 2004
-	if req.Seed != nil {
-		can.Seed = *req.Seed
-	}
-	hash, err := jobs.CanonicalHash(JobKindUncertainty, can)
-	if err != nil {
-		return jobs.Task{}, err
-	}
-	cfg := jsas.Config{ASInstances: can.Instances, HADBPairs: can.Pairs, HADBSpares: 2}
-	return jobs.Task{
-		Kind: JobKindUncertainty,
-		Hash: hash,
-		Detail: fmt.Sprintf("instances=%d pairs=%d samples=%d seed=%d",
-			can.Instances, can.Pairs, can.Samples, can.Seed),
-		Total:       int64(can.Samples),
-		TrackerOpts: []progress.Option{progress.WithUnit("samples"), progress.WithStat("downtimeMin")},
-		Run: func(ctx context.Context, tr *progress.Tracker) (json.RawMessage, error) {
-			res, err := uncertainty.RunCtx(ctx,
-				jsas.PaperUncertaintyRanges(),
-				jsas.UncertaintySolver(cfg, jsas.DefaultParams()),
-				uncertainty.Options{Samples: can.Samples, Seed: can.Seed, Progress: tr},
-			)
-			if err != nil {
-				return nil, err
-			}
-			return json.Marshal(uncertaintyResponse(cfg, res))
-		},
-	}, nil
-}
-
-// campaignJobRequest is the "campaign" payload: a replicated
-// fault-injection campaign on the simulated testbed.
-type campaignJobRequest struct {
-	Instances  *int     `json:"instances"`
-	Pairs      *int     `json:"pairs"`
-	Spares     *int     `json:"spares"`
-	Injections *int     `json:"injections"`
-	Seed       *int64   `json:"seed"`
-	Replicas   *int     `json:"replicas"`
-	ASFraction *float64 `json:"asFraction"`
-	MultiNode  *float64 `json:"multiNodeFraction"`
-	// Correlated-fault extensions: domain declarations plus the fraction
-	// of injections that are common-cause bursts / network partitions.
-	CommonCause *float64          `json:"commonCauseFraction"`
-	Partition   *float64          `json:"partitionFraction"`
-	Domains     []spec.DomainSpec `json:"domains"`
-}
-
-// campaignJobCanonical is the normalized form the hash covers. Replicas
-// are part of the identity (sharding changes the pooled statistics
-// deterministically); parallelism is not a request knob at all — the
-// merged report is independent of it.
-type campaignJobCanonical struct {
-	Instances  int     `json:"instances"`
-	Pairs      int     `json:"pairs"`
-	Spares     int     `json:"spares"`
-	Injections int     `json:"injections"`
-	Seed       int64   `json:"seed"`
-	Replicas   int     `json:"replicas"`
-	ASFraction float64 `json:"asFraction"`
-	MultiNode  float64 `json:"multiNodeFraction"`
-	// Correlated extensions are omitted from the canonical form when
-	// unset, so independent-campaign hashes — and therefore their cache
-	// entries — are unchanged from earlier versions.
-	CommonCause float64           `json:"commonCauseFraction,omitempty"`
-	Partition   float64           `json:"partitionFraction,omitempty"`
-	Domains     []spec.DomainSpec `json:"domains,omitempty"`
-}
-
-func buildCampaignTask(raw json.RawMessage) (jobs.Task, error) {
-	var req campaignJobRequest
-	if err := decodeStrict(raw, &req); err != nil {
-		return jobs.Task{}, fmt.Errorf("campaign request: %w", err)
-	}
-	var can campaignJobCanonical
-	var err error
-	if can.Instances, err = boundedField("instances", req.Instances, 2, 1, maxInstances); err != nil {
-		return jobs.Task{}, err
-	}
-	if can.Pairs, err = boundedField("pairs", req.Pairs, 2, 0, maxPairs); err != nil {
-		return jobs.Task{}, err
-	}
-	if can.Spares, err = boundedField("spares", req.Spares, 2, 0, maxSpares); err != nil {
-		return jobs.Task{}, err
-	}
-	if can.Injections, err = boundedField("injections", req.Injections, 3287, 1, maxCampaignInjections); err != nil {
-		return jobs.Task{}, err
-	}
-	if can.Replicas, err = boundedField("replicas", req.Replicas, 1, 1, maxCampaignReplicas); err != nil {
-		return jobs.Task{}, err
-	}
-	can.Seed = 1
-	if req.Seed != nil {
-		can.Seed = *req.Seed
-	}
-	can.ASFraction = faultinject.DefaultASFraction
-	if req.ASFraction != nil {
-		can.ASFraction = *req.ASFraction
-	}
-	can.MultiNode = faultinject.DefaultMultiNodeFraction
-	if req.MultiNode != nil {
-		can.MultiNode = *req.MultiNode
-	}
-	if can.ASFraction < 0 || can.ASFraction > 1 {
-		return jobs.Task{}, fmt.Errorf("asFraction %g outside [0, 1]", can.ASFraction)
-	}
-	if can.MultiNode < 0 || can.MultiNode > 1 {
-		return jobs.Task{}, fmt.Errorf("multiNodeFraction %g outside [0, 1]", can.MultiNode)
-	}
-	if req.CommonCause != nil {
-		can.CommonCause = *req.CommonCause
-	}
-	if req.Partition != nil {
-		can.Partition = *req.Partition
-	}
-	can.Domains = req.Domains
-	if can.CommonCause < 0 || can.CommonCause > 1 {
-		return jobs.Task{}, fmt.Errorf("commonCauseFraction %g outside [0, 1]", can.CommonCause)
-	}
-	if can.Partition < 0 || can.Partition > 1 {
-		return jobs.Task{}, fmt.Errorf("partitionFraction %g outside [0, 1]", can.Partition)
-	}
-	if can.CommonCause+can.Partition > 1 {
-		return jobs.Task{}, fmt.Errorf("commonCauseFraction + partitionFraction = %g exceeds 1", can.CommonCause+can.Partition)
-	}
-	// Convert and structurally validate the domains at submit time so a
-	// bad declaration is a 400, not a failed job.
-	domains, err := spec.BuildDomains(can.Domains)
-	if err != nil {
-		return jobs.Task{}, err
-	}
-	if err := testbed.ValidateDomains(domains, can.Instances, can.Pairs); err != nil {
-		return jobs.Task{}, err
-	}
-	if can.CommonCause > 0 && len(domains) == 0 {
-		return jobs.Task{}, fmt.Errorf("commonCauseFraction %g requires domains", can.CommonCause)
-	}
-	hash, err := jobs.CanonicalHash(JobKindCampaign, can)
-	if err != nil {
-		return jobs.Task{}, err
-	}
-	cfg := jsas.Config{ASInstances: can.Instances, HADBPairs: can.Pairs, HADBSpares: can.Spares}
-	correlated := can.CommonCause > 0 || can.Partition > 0
-	return jobs.Task{
-		Kind: JobKindCampaign,
-		Hash: hash,
-		Detail: fmt.Sprintf("instances=%d pairs=%d injections=%d seed=%d replicas=%d",
-			can.Instances, can.Pairs, can.Injections, can.Seed, can.Replicas),
-		Total:       int64(can.Injections),
-		TrackerOpts: []progress.Option{progress.WithUnit("inj"), progress.WithStat("recovered")},
-		Run: func(ctx context.Context, tr *progress.Tracker) (json.RawMessage, error) {
-			fopts := faultinject.Options{
-				Config:            cfg,
-				Params:            jsas.DefaultParams(),
-				Seed:              can.Seed,
-				Injections:        can.Injections,
-				ASFraction:        faultinject.Fraction(can.ASFraction),
-				MultiNodeFraction: faultinject.Fraction(can.MultiNode),
-				Progress:          tr,
-				Domains:           domains,
-			}
-			// nil pointers when unset keep the campaign's RNG stream — and
-			// so the response — byte-identical to earlier versions.
-			if can.CommonCause > 0 {
-				fopts.CommonCauseFraction = &can.CommonCause
-			}
-			if can.Partition > 0 {
-				fopts.PartitionFraction = &can.Partition
-			}
-			rep, err := faultinject.RunReplicatedCtx(ctx, faultinject.ReplicatedOptions{
-				Options:  fopts,
-				Replicas: can.Replicas,
-			})
-			if err != nil {
-				return nil, err
-			}
-			out := CampaignResponse{
-				Instances:    cfg.ASInstances,
-				Pairs:        cfg.HADBPairs,
-				Spares:       cfg.HADBSpares,
-				Injections:   len(rep.Injections),
-				Replicas:     rep.Replicas,
-				Seed:         can.Seed,
-				Successes:    rep.Successes,
-				SuccessRate:  rep.SuccessRate(),
-				Availability: rep.Stats.Availability(),
-				DowntimeMin:  rep.Stats.DownTime.Minutes(),
-				Outages:      len(rep.Stats.Outages),
-			}
-			for _, b := range rep.CoverageBounds {
-				out.CoverageBounds = append(out.CoverageBounds, CoverageBoundResponse{
-					Confidence:         b.Confidence,
-					CoverageLowerBound: b.Coverage,
-					FIRUpperBound:      b.FIR,
-				})
-			}
-			if correlated {
-				out.CommonCauseFraction = can.CommonCause
-				out.PartitionFraction = can.Partition
-				out.MeasuredBeta = rep.MeasuredCommonCauseFraction()
-				out.Partitions = rep.Stats.Partitions
-				out.ByClass = make(map[string]ClassStatsResponse, len(rep.ByClass))
-				for cl, cs := range rep.ByClass {
-					out.ByClass[cl.String()] = ClassStatsResponse{
-						Injections:        cs.Injections,
-						Successes:         cs.Successes,
-						ComponentFailures: cs.ComponentFailures,
-						DowntimeMinutes:   cs.Downtime.Minutes(),
-					}
-				}
-			}
-			return json.Marshal(out)
-		},
-	}, nil
 }
 
 // writeSSEEvent emits one Server-Sent Events frame. The JSON payload is

@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -135,28 +137,58 @@ func TestMetricsStreamSSE(t *testing.T) {
 // the metrics stream still answers — an overloaded server must stay
 // watchable.
 func TestMetricsStreamShedExempt(t *testing.T) {
-	srv := httptest.NewServer(NewHandler(Options{MaxInflight: 1}))
+	// The wrapper counts POST /v1/solve handler returns. A stall request
+	// whose handler returns before its pipe is closed never held the slot:
+	// it lost the race to a concurrent probe and was shed.
+	h := NewHandler(Options{MaxInflight: 1})
+	var stallsReturned atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r)
+		if r.Method == http.MethodPost {
+			stallsReturned.Add(1)
+		}
+	}))
 	defer srv.Close()
 
 	// Hold the semaphore: POST /v1/solve with a body that never arrives
-	// keeps its handler parked inside the read while owning the slot.
-	pr, pw := io.Pipe()
-	stallReq, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/solve", pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stallDone := make(chan struct{})
-	go func() {
-		defer close(stallDone)
-		resp, err := http.DefaultClient.Do(stallReq)
-		if err == nil {
-			resp.Body.Close()
+	// keeps its handler parked inside the read while owning the slot. A
+	// shed stall is parked too — the server drains its unread body before
+	// sending the 429 — so every pipe must be closed on every exit path,
+	// before srv.Close waits on those connections.
+	var pipes []*io.PipeWriter
+	var stalls sync.WaitGroup
+	release := func() {
+		for _, pw := range pipes {
+			pw.Close()
 		}
-	}()
+		stalls.Wait()
+	}
+	defer release()
+	stall := func() {
+		pr, pw := io.Pipe()
+		pipes = append(pipes, pw)
+		stallReq, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/solve", pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stalls.Add(1)
+		go func() {
+			defer stalls.Done()
+			resp, err := http.DefaultClient.Do(stallReq)
+			if err == nil {
+				resp.Body.Close()
+			}
+		}()
+	}
+	stall()
 
-	// The slot is held once a probe solve request sheds with 429.
+	// The slot is held once a probe solve request sheds with 429: the
+	// probes run one at a time, so only a parked stall can hold it.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
+		if stallsReturned.Load() == int64(len(pipes)) {
+			stall()
+		}
 		resp, err := http.Get(srv.URL + "/v1/jsas?instances=2&pairs=2")
 		if err != nil {
 			t.Fatal(err)
@@ -205,12 +237,11 @@ func TestMetricsStreamShedExempt(t *testing.T) {
 		t.Fatalf("/v1/runs while saturated: status = %d, want 200", runsResp.StatusCode)
 	}
 
-	// Release the stalled solve: closing the pipe ends its body, the
+	// Release the stalled solves: closing a pipe ends its body, the
 	// handler fails the parse (a 400 we don't care about), and the slot
 	// frees. A context cancel would not do — the transport's body read
 	// on the pipe is not interruptible.
-	pw.Close()
-	<-stallDone
+	release()
 }
 
 // TestStreamIntervalValidation: malformed or out-of-range intervals are

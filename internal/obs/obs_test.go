@@ -186,34 +186,31 @@ func TestConcurrentUpdates(t *testing.T) {
 func TestRenderDuringSeriesCreation(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("churn_total", "", `i="seed"`).Inc()
-	const creators = 4
-	var created atomic.Int64
-	stop := make(chan struct{})
+	// Each creator stops after a fixed number of series: every render is
+	// O(series), so unbounded creators make the test's memory grow with
+	// the renders it runs (gigabytes under -race on two CPUs).
+	const creators, seriesPerCreator = 4, 50
+	var finished atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < creators; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			defer finished.Add(1)
+			for i := 0; i < seriesPerCreator; i++ {
 				// Fresh labels every iteration force new-series insertion
 				// into existing families while renders are in flight.
 				label := fmt.Sprintf("i=%q", strconv.Itoa(w*1_000_000+i))
 				r.Counter("churn_total", "", label).Inc()
 				r.Gauge("churn_level", "", label).Set(float64(i))
 				r.Histogram("churn_seconds", "", []float64{1, 10}, label).Observe(0.5)
-				created.Add(1)
 			}
 		}(w)
 	}
-	// Keep rendering until the creators have demonstrably run alongside
-	// the renders, so creation and iteration genuinely overlap rather
-	// than the renders finishing before the goroutines get scheduled.
-	for i := 0; i < 300 || created.Load() < 2000; i++ {
+	// Keep rendering until every creator has finished, so creation and
+	// iteration genuinely overlap rather than the renders finishing
+	// before the goroutines get scheduled.
+	for i := 0; i < 300 || finished.Load() < creators; i++ {
 		if err := r.WriteText(io.Discard); err != nil {
 			t.Fatalf("WriteText: %v", err)
 		}
@@ -224,7 +221,6 @@ func TestRenderDuringSeriesCreation(t *testing.T) {
 			t.Fatal("Snapshot returned no series despite the seed counter")
 		}
 	}
-	close(stop)
 	wg.Wait()
 }
 

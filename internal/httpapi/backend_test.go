@@ -5,10 +5,13 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/backend"
 	"repro/internal/jobs"
+	"repro/internal/spec"
 )
 
 // redundancyModel is a 2-of-3 AS cluster small enough for both backends:
@@ -152,6 +155,105 @@ func TestBayesJobKind(t *testing.T) {
 	}
 	if second.Hash != first.Hash {
 		t.Fatalf("identical requests hashed differently: %s vs %s", second.Hash, first.Hash)
+	}
+}
+
+// nearCapRedundancyModel is the same structure at 12 replicas: a
+// 4,096-state product on the ctmc backend, inside hier.MaxProductStates
+// yet, once built, orders of magnitude larger than its document.
+const nearCapRedundancyModel = `{
+  "name": "as-cluster-12",
+  "parameters": {"La": 0.005, "Mu": 2.0},
+  "redundancy": {
+    "root": "svc",
+    "nodes": [
+      {"name": "as", "lambda": "La", "mu": "Mu"},
+      {"name": "svc", "gate": "kofn", "k": 10, "of": ["as"], "replicate": 12}
+    ]
+  }
+}`
+
+// TestSolveJobRecordsHoldNoModel: a "solve" job holds only its document
+// until a worker builds the model, so resubmitting a cached redundancy
+// document builds nothing at submit, and the heap retained by the job
+// records does not grow with their number.
+func TestSolveJobRecordsHoldNoModel(t *testing.T) {
+	var ms runtime.MemStats
+	heap := func() (live, total int64) {
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc), int64(ms.TotalAlloc)
+	}
+	doc, err := spec.Parse(strings.NewReader(nearCapRedundancyModel))
+	if err != nil {
+		t.Fatal(err)
+	}
+	live0, total0 := heap()
+	m, err := doc.Model(backend.KindCTMC, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live1, total1 := heap()
+	runtime.KeepAlive(m)
+	modelLive, modelAlloc := live1-live0, total1-total0
+
+	srv, eng := newJobServer(t, jobs.Config{Workers: 1})
+	if done := waitJob(t, srv, eng, postJob(t, srv, JobKindSolve, nearCapRedundancyModel).ID); done.State != jobs.StateDone {
+		t.Fatalf("job state = %s (%s)", done.State, done.Error)
+	}
+	const resubmits = 32
+	live0, total0 = heap()
+	for i := 0; i < resubmits; i++ {
+		if st := postJob(t, srv, JobKindSolve, nearCapRedundancyModel); !st.Cached {
+			t.Fatalf("resubmission %d not cached: %+v", i, st)
+		}
+	}
+	live1, total1 = heap()
+	perSubmit, grown := (total1-total0)/resubmits, live1-live0
+	t.Logf("model: %d B live, %d B allocated; cached submit: %d B allocated; %d records retain %d B",
+		modelLive, modelAlloc, perSubmit, resubmits, grown)
+	if perSubmit > modelAlloc/4 {
+		t.Errorf("a cached resubmission allocates %d B, building the model %d B: the submit path builds the model", perSubmit, modelAlloc)
+	}
+	if grown > modelLive {
+		t.Errorf("%d cached job records retain %d B, more than one built model (%d B)", resubmits, grown, modelLive)
+	}
+}
+
+// TestSolveBuildFailureIsRequestDefect: a document that validates but
+// whose model fails to build is still the request's defect. The sync
+// route answers 400 with the builder's error; the job, which builds its
+// model only when a worker runs it, fails with that same error.
+func TestSolveBuildFailureIsRequestDefect(t *testing.T) {
+	srv, eng := newJobServer(t, jobs.Config{Workers: 1})
+	cases := []struct {
+		name, query, kind, doc, wantErr string
+	}{
+		{"negative flat rate", "", JobKindSolve,
+			`{"name":"neg","states":[{"name":"Up","reward":1},{"name":"Down","reward":0}],` +
+				`"transitions":[{"from":"Up","to":"Down","rate":"-1"},{"from":"Down","to":"Up","rate":"2"}]}`,
+			`model "neg": transition 0→1 has negative rate -1: ctmc: invalid model`},
+		{"negative leaf rate", "", JobKindSolve,
+			`{"name":"negleaf","redundancy":{"root":"svc","nodes":[{"name":"as","lambda":"-1","mu":"2"},` +
+				`{"name":"svc","gate":"kofn","k":1,"of":["as"],"replicate":2}]}}`,
+			`model "negleaf": leaf "as" lambda = -1 must be finite and positive: spec: invalid model specification`},
+		{"leaf availability above 1", "?backend=bayes", JobKindBayes,
+			`{"name":"badleaf","redundancy":{"root":"svc","nodes":[{"name":"as","availability":"1.5"},` +
+				`{"name":"svc","gate":"kofn","k":1,"of":["as"],"replicate":2}]}}`,
+			`leaf "as" availability 1.5 outside [0,1]: spec: invalid model specification`},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			res, body := doRequest(t, http.MethodPost, "/v1/solve"+c.query, c.doc)
+			want, _ := json.Marshal(errorResponse{Error: c.wantErr})
+			if res.StatusCode != http.StatusBadRequest || string(body) != string(want)+"\n" {
+				t.Errorf("sync: got %d %s, want 400 %s", res.StatusCode, body, want)
+			}
+			done := waitJob(t, srv, eng, postJob(t, srv, c.kind, c.doc).ID)
+			if done.State != jobs.StateFailed || done.Error != c.wantErr {
+				t.Errorf("job: state %s error %q, want failed %q", done.State, done.Error, c.wantErr)
+			}
+		})
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"repro/internal/bayes"
 	"repro/internal/ctmc"
 	"repro/internal/hier"
+	"repro/internal/jsas"
 	"repro/internal/obs"
 	"repro/internal/spec"
 )
@@ -113,13 +114,17 @@ func retryAfterValue(hint time.Duration) string {
 }
 
 // statusForSolveError maps solve failures onto the response taxonomy:
-// client-abort (the request context was canceled) to 499, model-domain
-// failures (well-formed but unsolvable documents) to 422, and everything
-// else to 500.
+// client-abort (the request context was canceled) to 499, request
+// defects found only once the task runs (a model that fails to build, a
+// JSAS configuration the solver rejects) to 400, model-domain failures
+// (well-formed but unsolvable documents) to 422, and everything else to
+// 500.
 func statusForSolveError(err error) int {
 	switch {
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return StatusClientClosedRequest
+	case errors.Is(err, jsas.ErrBadConfig), errors.As(err, new(badRequest)):
+		return http.StatusBadRequest
 	case errors.Is(err, ctmc.ErrNotIrreducible), errors.Is(err, ctmc.ErrBadModel),
 		errors.Is(err, spec.ErrBadSpec), errors.Is(err, bayes.ErrIntractable),
 		errors.Is(err, bayes.ErrBadNetwork), errors.Is(err, hier.ErrBadComponent):

@@ -52,8 +52,8 @@ fmt-check:
 # served from the LRU cache must be at least MIN_JOBCACHE_SPEEDUP times
 # faster than computing it (the miss path runs a real 100-sample
 # uncertainty analysis, so the ratio is measured against genuine solver
-# work — it sits around 1000× on an idle host, and 100× leaves room for
-# load noise without ever passing on a broken cache).
+# work — it sits around 1,600–1,800× on an idle 2-CPU host, and 100×
+# leaves room for load noise without ever passing on a broken cache).
 # A fourth gate bounds the correlated-injection tax: the 2000-injection
 # campaign with fault domains, a common-cause fraction, and a partition
 # fraction (BenchmarkCampaignCorrelated) must stay within
@@ -142,10 +142,10 @@ cover:
 # Snapshots are per-PR — `make bench PR=6` writes BENCH_PR6.json and
 # leaves every earlier BENCH_PR*.json untouched, so speedups stay
 # auditable across the whole PR sequence (BENCH_PR3.json and
-# BENCH_PR4.json are the pre-rebuild baselines).
-PR ?= 10
-
+# BENCH_PR4.json are the pre-rebuild baselines). PR has no default, so a
+# bare `make bench` fails instead of overwriting an earlier snapshot.
 bench:
+	@[ -n "$(PR)" ] || { echo "bench: set PR=<number>; the snapshot is written to BENCH_PR<number>.json"; exit 1; }
 	$(GO) test -bench=. -benchmem ./...
 	$(GO) run ./cmd/bench-record -bench 'Sweep|Uncertainty|Table|Campaign(Unsharded|Replicated|Telemetry|Correlated|Partition)|LongevitySeries|JobCache(Hit|Miss|Coalesced)|BayesSolve|CTMCSolveCluster' -benchtime 500ms -benchmem -out BENCH_PR$(PR).json
 

@@ -64,14 +64,17 @@ func ApplyOverrides(p Params, overrides map[string]float64) (Params, error) {
 
 // UncertaintySolver adapts a configuration to the uncertainty package: each
 // sampled assignment is applied over the base parameters and the hierarchy
-// re-solved for yearly downtime.
+// re-solved for yearly downtime. The configuration's chains are compiled
+// once, at base, and re-rated per sample; results equal Solve's bit for
+// bit. The returned solver is safe for concurrent use.
 func UncertaintySolver(cfg Config, base Params) uncertainty.Solver {
+	c := compile(cfg, base)
 	return func(assignment map[string]float64) (float64, error) {
 		p, err := ApplyOverrides(base, assignment)
 		if err != nil {
 			return 0, err
 		}
-		res, err := Solve(cfg, p)
+		res, err := c.solve(p)
 		if err != nil {
 			return 0, err
 		}
@@ -109,14 +112,16 @@ func TstartLongSweepSolver(cfg Config, base Params) sensitivity.Solver {
 // SweepSolver generalizes the Figures 5/6 sweep to any of the §7 analysis
 // parameters (see the Param* constants): the swept value is the parameter
 // in its natural unit (per year for rates, hours for Tstart_long, a
-// fraction for FIR).
+// fraction for FIR). Like UncertaintySolver, it compiles the
+// configuration's chains once and re-rates them per point.
 func SweepSolver(cfg Config, base Params, param string) sensitivity.Solver {
+	c := compile(cfg, base)
 	return func(value float64) (float64, float64, error) {
 		p, err := ApplyOverrides(base, map[string]float64{param: value})
 		if err != nil {
 			return 0, 0, err
 		}
-		res, err := Solve(cfg, p)
+		res, err := c.solve(p)
 		if err != nil {
 			return 0, 0, err
 		}

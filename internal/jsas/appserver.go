@@ -16,15 +16,6 @@ const (
 	ASStateAllDown = "All_Down"
 )
 
-// phaseName names the degraded state with r instances in session-recovery
-// phase, s in short restart, and l in long restart.
-func phaseName(r, s, l int) string {
-	if r+s+l == 0 {
-		return ASStateAllWork
-	}
-	return fmt.Sprintf("R%dS%dL%d", r, s, l)
-}
-
 // Figure 4 state names for the 2-instance model.
 const (
 	as2Recovery  = "Recovery"
@@ -58,41 +49,53 @@ func BuildAppServer(p Params, n int) (*reward.Structure, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("instance count %d, want ≥ 1: %w", n, ErrBadConfig)
 	}
-	if n == 1 {
-		return buildAS1(p)
-	}
-	return buildASCluster(p, n)
-}
-
-// buildAS1 is the no-redundancy single instance model (Table 3 row 1).
-func buildAS1(p Params) (*reward.Structure, error) {
-	laAS := p.ASFailuresPerYear / hoursPerYear
-	laLong := (p.ASOSFailuresPerYear + p.ASHWFailuresPerYear) / hoursPerYear
 	b := ctmc.NewBuilder()
-	up := b.State(ASStateAllWork)
-	short := b.State(as2DownShort)
-	long := b.State(as2DownLong)
-	b.Transition(up, short, laAS)
-	b.Transition(up, long, laLong)
-	b.Transition(short, up, 1/p.ASRestartShort.Hours())
-	b.Transition(long, up, 1/p.ASRestartLong.Hours())
+	emitAppServer(b, p, n, true)
 	m, err := b.Build()
 	if err != nil {
-		return nil, fmt.Errorf("AS 1-instance model: %w", err)
+		return nil, fmt.Errorf("AS %d-instance model: %w", n, err)
 	}
-	s, err := reward.Binary(m, as2DownShort, as2DownLong)
+	down := []string{ASStateAllDown}
+	if n == 1 {
+		down = []string{as2DownShort, as2DownLong}
+	}
+	s, err := reward.Binary(m, down...)
 	if err != nil {
-		return nil, fmt.Errorf("AS 1-instance model: %w", err)
+		return nil, fmt.Errorf("AS %d-instance model: %w", n, err)
 	}
 	return s, nil
 }
 
-// asPhase identifies a degraded cluster state by the number of instances
-// in each recovery phase.
-type asPhase struct{ r, s, l int }
+// emitAppServer writes the n-instance AS chain into sk. named says
+// whether to name the states; a re-rating sink matches them by position,
+// and formatting the phase names is most of the cost of building a wide
+// cluster.
+func emitAppServer(sk ctmc.Sink, p Params, n int, named bool) {
+	if n == 1 {
+		emitAS1(sk, p)
+		return
+	}
+	emitASCluster(sk, p, n, named)
+}
 
-// buildASCluster is the phase-tracking n ≥ 2 model.
-func buildASCluster(p Params, n int) (*reward.Structure, error) {
+// emitAS1 is the no-redundancy single instance chain (Table 3 row 1).
+func emitAS1(sk ctmc.Sink, p Params) {
+	laAS := p.ASFailuresPerYear / hoursPerYear
+	laLong := (p.ASOSFailuresPerYear + p.ASHWFailuresPerYear) / hoursPerYear
+	up := sk.State(ASStateAllWork)
+	short := sk.State(as2DownShort)
+	long := sk.State(as2DownLong)
+	sk.Transition(up, short, laAS)
+	sk.Transition(up, long, laLong)
+	sk.Transition(short, up, 1/p.ASRestartShort.Hours())
+	sk.Transition(long, up, 1/p.ASRestartLong.Hours())
+}
+
+// emitASCluster is the phase-tracking n ≥ 2 chain. Its states are the
+// phases (r, s, l) with r+s+l ≤ n−1 in lexicographic order — r instances
+// in session recovery, s in short restart, l in long restart — followed
+// by All_Down (d = n).
+func emitASCluster(sk ctmc.Sink, p Params, n int, named bool) {
 	la := p.asInstanceFailurePerHour()
 	fss := p.fractionShortStart()
 	trec := p.SessionRecovery.Hours()
@@ -100,68 +103,86 @@ func buildASCluster(p Params, n int) (*reward.Structure, error) {
 	tsl := p.ASRestartLong.Hours()
 	acc := p.Acceleration
 
-	b := ctmc.NewBuilder()
-	states := make(map[asPhase]ctmc.State)
-	// Enumerate all phases with r+s+l ≤ n−1 (d = n means All_Down).
-	for r := 0; r <= n-1; r++ {
-		for s := 0; s+r <= n-1; s++ {
-			for l := 0; l+s+r <= n-1; l++ {
-				name := phaseName(r, s, l)
-				if n == 2 {
-					// Use the paper's Figure 4 names.
-					switch (asPhase{r, s, l}) {
-					case asPhase{1, 0, 0}:
-						name = as2Recovery
-					case asPhase{0, 1, 0}:
-						name = as2DownShort
-					case asPhase{0, 0, 1}:
-						name = as2DownLong
-					}
+	m := n - 1
+	for r := 0; r <= m; r++ {
+		for s := 0; s+r <= m; s++ {
+			for l := 0; l+s+r <= m; l++ {
+				name := ""
+				if named {
+					name = phaseName(n, r, s, l)
 				}
-				states[asPhase{r, s, l}] = b.State(name)
+				sk.State(name)
 			}
 		}
 	}
-	allDown := b.State(ASStateAllDown)
+	allDown := sk.State(ASStateAllDown)
 
-	for ph, st := range states {
-		d := ph.r + ph.s + ph.l
-		// Failure of one of the n−d surviving instances at accelerated
-		// per-instance rate λ·Acc^d.
-		failRate := float64(n-d) * la * math.Pow(acc, float64(d))
-		if d+1 == n {
-			b.Transition(st, allDown, failRate)
-		} else {
-			b.Transition(st, states[asPhase{ph.r + 1, ph.s, ph.l}], failRate)
-		}
-		// Session-recovery phase completions split short/long.
-		if ph.r > 0 {
-			rate := float64(ph.r) / trec
-			if fss > 0 {
-				b.Transition(st, states[asPhase{ph.r - 1, ph.s + 1, ph.l}], rate*fss)
+	at := func(r, s, l int) ctmc.State { return ctmc.State(phaseIndex(m, r, s, l)) }
+	for r := 0; r <= m; r++ {
+		for s := 0; s+r <= m; s++ {
+			for l := 0; l+s+r <= m; l++ {
+				st := at(r, s, l)
+				d := r + s + l
+				// Failure of one of the n−d surviving instances at
+				// accelerated per-instance rate λ·Acc^d.
+				failRate := float64(n-d) * la * math.Pow(acc, float64(d))
+				if d+1 == n {
+					sk.Transition(st, allDown, failRate)
+				} else {
+					sk.Transition(st, at(r+1, s, l), failRate)
+				}
+				// Session-recovery phase completions split short/long.
+				if r > 0 {
+					rate := float64(r) / trec
+					if fss > 0 {
+						sk.Transition(st, at(r-1, s+1, l), rate*fss)
+					}
+					if fss < 1 {
+						sk.Transition(st, at(r-1, s, l+1), rate*(1-fss))
+					}
+				}
+				// Restart completions.
+				if s > 0 {
+					sk.Transition(st, at(r, s-1, l), float64(s)/tss)
+				}
+				if l > 0 {
+					sk.Transition(st, at(r, s, l-1), float64(l)/tsl)
+				}
 			}
-			if fss < 1 {
-				b.Transition(st, states[asPhase{ph.r - 1, ph.s, ph.l + 1}], rate*(1-fss))
-			}
-		}
-		// Restart completions.
-		if ph.s > 0 {
-			b.Transition(st, states[asPhase{ph.r, ph.s - 1, ph.l}], float64(ph.s)/tss)
-		}
-		if ph.l > 0 {
-			b.Transition(st, states[asPhase{ph.r, ph.s, ph.l - 1}], float64(ph.l)/tsl)
 		}
 	}
 	// Operator restore from All_Down back to full service.
-	b.Transition(allDown, states[asPhase{0, 0, 0}], 1/p.ASRestoreAll.Hours())
+	sk.Transition(allDown, at(0, 0, 0), 1/p.ASRestoreAll.Hours())
+}
 
-	m, err := b.Build()
-	if err != nil {
-		return nil, fmt.Errorf("AS %d-instance model: %w", n, err)
+// phaseName names the degraded state of an n-instance cluster with r
+// instances in session-recovery phase, s in short restart, and l in long
+// restart: the paper's Figure 4 names for n = 2, systematic R‹r›S‹s›L‹l›
+// names otherwise.
+func phaseName(n, r, s, l int) string {
+	if r+s+l == 0 {
+		return ASStateAllWork
 	}
-	s, err := reward.Binary(m, ASStateAllDown)
-	if err != nil {
-		return nil, fmt.Errorf("AS %d-instance model: %w", n, err)
+	if n == 2 {
+		switch {
+		case r == 1:
+			return as2Recovery
+		case s == 1:
+			return as2DownShort
+		default:
+			return as2DownLong
+		}
 	}
-	return s, nil
+	return fmt.Sprintf("R%dS%dL%d", r, s, l)
+}
+
+// phaseIndex is the position of phase (r, s, l) in emitASCluster's
+// lexicographic enumeration of the phases with r+s+l ≤ m: the phases
+// with a smaller r, then those with this r and a smaller s, then l.
+func phaseIndex(m, r, s, l int) int {
+	// Phases with first coordinate r' number (m−r'+1)(m−r'+2)/2; their
+	// sum over r' < r is tet(m+1) − tet(m−r+1).
+	tet := func(k int) int { return k * (k + 1) * (k + 2) / 6 }
+	k := m - r
+	return tet(m+1) - tet(k+1) + s*(k+1) - s*(s-1)/2 + l
 }

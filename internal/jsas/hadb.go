@@ -36,37 +36,8 @@ func BuildHADBPair(p Params) (*reward.Structure, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	laHADB := p.HADBFailuresPerYear / hoursPerYear
-	laOS := p.HADBOSFailuresPerYear / hoursPerYear
-	laHW := p.HADBHWFailuresPerYear / hoursPerYear
-	la := p.hadbNodeFailurePerHour()
-	laMnt := p.MaintenancePerYear / hoursPerYear
-	acc := p.Acceleration
-
 	b := ctmc.NewBuilder()
-	ok := b.State(HADBStateOk)
-	rs := b.State(HADBStateRestartShort)
-	rl := b.State(HADBStateRestartLong)
-	rep := b.State(HADBStateRepair)
-	mnt := b.State(HADBStateMaintenance)
-	down := b.State(HADBStateDown)
-
-	b.Transition(ok, rs, 2*laHADB*(1-p.FIR))
-	b.Transition(ok, rl, 2*laOS*(1-p.FIR))
-	b.Transition(ok, rep, 2*laHW*(1-p.FIR))
-	b.Transition(ok, down, 2*la*p.FIR)
-	b.Transition(ok, mnt, laMnt)
-
-	b.Transition(rs, ok, 1/p.HADBRestartShort.Hours())
-	b.Transition(rl, ok, 1/p.HADBRestartLong.Hours())
-	b.Transition(rep, ok, 1/p.HADBRepair.Hours())
-	b.Transition(mnt, ok, 1/p.MaintenanceSwitchover.Hours())
-
-	for _, s := range []ctmc.State{rs, rl, rep, mnt} {
-		b.Transition(s, down, acc*la)
-	}
-	b.Transition(down, ok, 1/p.HADBRestore.Hours())
-
+	emitHADBPair(b, p)
 	m, err := b.Build()
 	if err != nil {
 		return nil, fmt.Errorf("HADB pair model: %w", err)
@@ -76,4 +47,37 @@ func BuildHADBPair(p Params) (*reward.Structure, error) {
 		return nil, fmt.Errorf("HADB pair model: %w", err)
 	}
 	return s, nil
+}
+
+// emitHADBPair writes the Figure 3 node-pair chain into sk.
+func emitHADBPair(sk ctmc.Sink, p Params) {
+	laHADB := p.HADBFailuresPerYear / hoursPerYear
+	laOS := p.HADBOSFailuresPerYear / hoursPerYear
+	laHW := p.HADBHWFailuresPerYear / hoursPerYear
+	la := p.hadbNodeFailurePerHour()
+	laMnt := p.MaintenancePerYear / hoursPerYear
+	acc := p.Acceleration
+
+	ok := sk.State(HADBStateOk)
+	rs := sk.State(HADBStateRestartShort)
+	rl := sk.State(HADBStateRestartLong)
+	rep := sk.State(HADBStateRepair)
+	mnt := sk.State(HADBStateMaintenance)
+	down := sk.State(HADBStateDown)
+
+	sk.Transition(ok, rs, 2*laHADB*(1-p.FIR))
+	sk.Transition(ok, rl, 2*laOS*(1-p.FIR))
+	sk.Transition(ok, rep, 2*laHW*(1-p.FIR))
+	sk.Transition(ok, down, 2*la*p.FIR)
+	sk.Transition(ok, mnt, laMnt)
+
+	sk.Transition(rs, ok, 1/p.HADBRestartShort.Hours())
+	sk.Transition(rl, ok, 1/p.HADBRestartLong.Hours())
+	sk.Transition(rep, ok, 1/p.HADBRepair.Hours())
+	sk.Transition(mnt, ok, 1/p.MaintenanceSwitchover.Hours())
+
+	for _, s := range []ctmc.State{rs, rl, rep, mnt} {
+		sk.Transition(s, down, acc*la)
+	}
+	sk.Transition(down, ok, 1/p.HADBRestore.Hours())
 }

@@ -78,6 +78,16 @@ func Binary(m *ctmc.Model, downNames ...string) (*Structure, error) {
 	return New(m, rates)
 }
 
+// WithModel returns a structure over m — a re-rating of s's model (see
+// ctmc.Rerate), with the same states in the same order — that shares s's
+// reward vector and down set instead of copying them.
+func (s *Structure) WithModel(m *ctmc.Model) (*Structure, error) {
+	if m == nil || m.NumStates() != len(s.rates) {
+		return nil, fmt.Errorf("model does not re-rate the structure's %d states: %w", len(s.rates), ErrReward)
+	}
+	return &Structure{model: m, rates: s.rates, upSet: s.upSet, downSet: s.downSet}, nil
+}
+
 // Model returns the underlying CTMC.
 func (s *Structure) Model() *ctmc.Model { return s.model }
 

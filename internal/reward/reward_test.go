@@ -288,3 +288,45 @@ func TestLumpedPreservesMeasures(t *testing.T) {
 		t.Errorf("expected reward mismatch")
 	}
 }
+
+func TestWithModelSharesRewards(t *testing.T) {
+	t.Parallel()
+	emit := func(lambda, mu float64) func(ctmc.Sink) {
+		return func(sk ctmc.Sink) {
+			up, down := sk.State("Up"), sk.State("Down")
+			sk.Transition(up, down, lambda)
+			sk.Transition(down, up, mu)
+		}
+	}
+	tmpl, err := Binary(buildTwoState(t, 1, 1), "Down")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, ok := ctmc.Rerate(tmpl.Model(), emit(0.001, 2))
+	if !ok {
+		t.Fatal("Rerate: no match")
+	}
+	s, err := tmpl.WithModel(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := Binary(buildTwoState(t, 0.001, 2), "Down")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Solve(ctmc.SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Solve(ctmc.SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Availability != want.Availability || got.FailureFrequency != want.FailureFrequency ||
+		got.LambdaEq != want.LambdaEq || got.MuEq != want.MuEq {
+		t.Errorf("re-rated structure solved to %+v, fresh build to %+v", got, want)
+	}
+	if _, err := tmpl.WithModel(nil); !errors.Is(err, ErrReward) {
+		t.Errorf("WithModel(nil): err = %v, want ErrReward", err)
+	}
+}

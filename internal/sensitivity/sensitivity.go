@@ -96,14 +96,18 @@ func SweepWithCtx(ctx context.Context, from, to float64, steps int, solve Solver
 	if opts.Progress != nil {
 		popts.OnTaskDone = func(int) { opts.Progress.Done() }
 	}
-	err := pool.Run(ctx, n, popts, func(worker, i int) error {
-		track := "solver"
+	// One track name per worker, formatted once rather than per point.
+	tracks := make([]string, parallelism)
+	for w := range tracks {
+		tracks[w] = "solver"
 		if parallelism > 1 {
-			track = fmt.Sprintf("worker-%d", worker)
+			tracks[w] = fmt.Sprintf("worker-%d", w)
 		}
+	}
+	err := pool.Run(ctx, n, popts, func(worker, i int) error {
 		v := values[i]
 		ps := trace.Default().Start("sensitivity.point", span,
-			trace.String(trace.AttrTrack, track),
+			trace.String(trace.AttrTrack, tracks[worker]),
 			trace.Int(trace.AttrIndex, int64(i)),
 			trace.Float("value", v))
 		a, d, err := solve(v)

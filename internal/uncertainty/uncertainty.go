@@ -280,8 +280,11 @@ func solveAll(ctx context.Context, res *Result, solve Solver, parallelism int, t
 		minTime   = make([]time.Duration, parallelism)
 		maxTime   = make([]time.Duration, parallelism)
 	)
+	// One track name per worker, formatted once rather than per sample.
+	tracks := make([]string, parallelism)
 	for w := range minTime {
 		minTime[w] = math.MaxInt64
+		tracks[w] = fmt.Sprintf("worker-%d", w)
 	}
 
 	popts := pool.Options{Workers: parallelism}
@@ -291,7 +294,7 @@ func solveAll(ctx context.Context, res *Result, solve Solver, parallelism int, t
 	poolErr := pool.Run(ctx, n, popts, func(worker, i int) error {
 		sampleTimer := obs.StartTimer(obsSampleSeconds)
 		sp := trace.Default().Start("uncertainty.sample", runSpan,
-			trace.String(trace.AttrTrack, fmt.Sprintf("worker-%d", worker)),
+			trace.String(trace.AttrTrack, tracks[worker]),
 			trace.Int(trace.AttrIndex, int64(i)))
 		d, err := solve(res.Samples[i].Assignment)
 		dt := sampleTimer.Stop()

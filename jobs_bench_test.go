@@ -1,17 +1,18 @@
 package avail
 
-// Job-engine benchmarks backing the `make verify` cache gate: a cache
-// hit must be orders of magnitude cheaper than the computation it
-// replaces (MIN_JOBCACHE_SPEEDUP, default 100×), and coalescing onto an
-// in-flight job must stay in the same O(1) regime as a hit. The miss
-// path runs a real 100-sample uncertainty analysis — the workload the
-// async API exists to deduplicate — so the ratio measures the cache
-// against genuine solver work, not a stub.
+// Job-engine benchmarks and the cache gate: a cache hit must be orders of
+// magnitude cheaper than the computation it replaces
+// (minJobCacheSpeedup), and coalescing onto an in-flight job must stay in
+// the same O(1) regime as a hit. The miss path runs a real 100-sample
+// uncertainty analysis — the workload the async API exists to
+// deduplicate — so the ratio measures the cache against genuine solver
+// work, not a stub.
 
 import (
 	"context"
 	"encoding/json"
 	"testing"
+	"time"
 
 	"repro/internal/jobs"
 	"repro/internal/progress"
@@ -25,11 +26,11 @@ type benchJobReq struct {
 
 // benchUncertaintyTask builds an engine task running a real uncertainty
 // analysis, hashed over its canonicalized request like the HTTP API does.
-func benchUncertaintyTask(b *testing.B, samples int, seed int64) jobs.Task {
-	b.Helper()
+func benchUncertaintyTask(tb testing.TB, samples int, seed int64) jobs.Task {
+	tb.Helper()
 	hash, err := jobs.CanonicalHash("uncertainty", benchJobReq{Samples: samples, Seed: seed})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	p := DefaultParams()
 	return jobs.Task{
@@ -45,53 +46,90 @@ func benchUncertaintyTask(b *testing.B, samples int, seed int64) jobs.Task {
 	}
 }
 
-// BenchmarkJobCacheMiss is the baseline: every iteration submits a
-// never-seen request (unique seed) and waits for the full computation.
-func BenchmarkJobCacheMiss(b *testing.B) {
-	eng := jobs.New(jobs.Config{Workers: 1, KeepDone: 16})
-	defer eng.Close()
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st, err := eng.Submit(benchUncertaintyTask(b, 100, int64(i)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if st.Cached {
-			b.Fatal("miss benchmark hit the cache")
-		}
-		final, err := eng.Wait(ctx, st.ID)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if final.State != jobs.StateDone {
-			b.Fatalf("job failed: %s", final.Error)
-		}
+// jobCacheMiss submits a never-seen request (unique seed) and waits for
+// the full computation.
+func jobCacheMiss(tb testing.TB, eng *jobs.Engine, seed int64) {
+	tb.Helper()
+	st, err := eng.Submit(benchUncertaintyTask(tb, 100, seed))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if st.Cached {
+		tb.Fatal("cache miss hit the cache")
+	}
+	final, err := eng.Wait(context.Background(), st.ID)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if final.State != jobs.StateDone {
+		tb.Fatalf("job failed: %s", final.Error)
 	}
 }
 
-// BenchmarkJobCacheHit resubmits one already-computed request per
-// iteration: the whole submission resolves synchronously from the LRU.
+// jobCacheHit resubmits an already-computed task: the whole submission
+// resolves synchronously from the LRU.
+func jobCacheHit(tb testing.TB, eng *jobs.Engine, task jobs.Task) {
+	tb.Helper()
+	hit, err := eng.Submit(task)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if !hit.Cached {
+		tb.Fatal("cache hit missed the cache")
+	}
+}
+
+// BenchmarkJobCacheMiss is the baseline: every iteration computes a new
+// request.
+func BenchmarkJobCacheMiss(b *testing.B) {
+	eng := jobs.New(jobs.Config{Workers: 1, KeepDone: 16})
+	defer eng.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		jobCacheMiss(b, eng, int64(i))
+	}
+}
+
+// BenchmarkJobCacheHit serves one already-computed request per iteration.
 func BenchmarkJobCacheHit(b *testing.B) {
 	eng := jobs.New(jobs.Config{Workers: 1, KeepDone: 16})
 	defer eng.Close()
+	jobCacheMiss(b, eng, 2004)
 	task := benchUncertaintyTask(b, 100, 2004)
-	st, err := eng.Submit(task)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := eng.Wait(context.Background(), st.ID); err != nil {
-		b.Fatal(err)
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		hit, err := eng.Submit(task)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !hit.Cached {
-			b.Fatal("hit benchmark missed the cache")
-		}
+		jobCacheHit(b, eng, task)
+	}
+}
+
+// minJobCacheSpeedup is how many times faster than a miss a hit must be.
+// It sits around 1,000–1,800× on a 2-CPU host; 100× leaves room for load
+// noise without ever passing on a broken cache.
+const minJobCacheSpeedup = 100
+
+func TestJobCacheSpeedup(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector distorts wall time")
+	}
+	const misses, hits = 20, 10000
+	eng := jobs.New(jobs.Config{Workers: 1, KeepDone: 16})
+	defer eng.Close()
+	start := time.Now()
+	for seed := int64(0); seed < misses; seed++ {
+		jobCacheMiss(t, eng, seed)
+	}
+	miss := float64(time.Since(start)) / misses
+	task := benchUncertaintyTask(t, 100, misses-1)
+	start = time.Now()
+	for i := 0; i < hits; i++ {
+		jobCacheHit(t, eng, task)
+	}
+	hit := float64(time.Since(start)) / hits
+	speedup := miss / hit
+	t.Logf("miss %.0f ns, hit %.0f ns, speedup %.0f×", miss, hit, speedup)
+	if speedup < minJobCacheSpeedup {
+		t.Errorf("a cache hit is only %.0f× faster than a miss, want ≥ minJobCacheSpeedup (%d×)",
+			speedup, minJobCacheSpeedup)
 	}
 }
 

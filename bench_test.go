@@ -212,8 +212,9 @@ func BenchmarkCampaignReplicatedParallel4(b *testing.B) { benchmarkCampaignRepli
 // maxCampaignAllocs caps the allocations of one unsharded campaign. The
 // pooled kernel runs it in ~9.2k; losing the Sim, cluster or event
 // free-list reuse multiplies that and erodes the interactive-campaign
-// latency budget.
-const maxCampaignAllocs = 12000
+// latency budget. The campaign runs 2,000 injections, so the cap sits
+// below the ~11.2k that one extra allocation per injection reaches.
+const maxCampaignAllocs = 10000
 
 func TestCampaignAllocations(t *testing.T) {
 	if raceEnabled {

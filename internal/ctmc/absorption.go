@@ -129,14 +129,22 @@ func (m *Model) EquivalentRates(pi []float64, down map[State]bool) (lambdaEq, mu
 	if len(pi) != m.NumStates() {
 		return 0, 0, fmt.Errorf("pi has length %d, want %d: %w", len(pi), m.NumStates(), ErrBadModel)
 	}
+	// Sum in state order, not map order, so the result does not depend
+	// on map iteration.
 	var pDown float64
-	for s, isDown := range down {
-		if isDown && int(s) < len(pi) {
-			pDown += pi[s]
+	for s, p := range pi {
+		if down[State(s)] {
+			pDown += p
 		}
 	}
+	return EquivalentRatesFrom(pDown, m.EntryFrequency(pi, down))
+}
+
+// EquivalentRatesFrom is the two-state reduction from a chain's steady-state
+// down probability and failure frequency: λ_eq = freq/(1−pDown) and, when
+// pDown > 0, μ_eq = freq/pDown (else 0).
+func EquivalentRatesFrom(pDown, freq float64) (lambdaEq, muEq float64, err error) {
 	pUp := 1 - pDown
-	freq := m.EntryFrequency(pi, down)
 	if pUp <= 0 {
 		return 0, 0, fmt.Errorf("no steady-state up probability: %w", ErrBadModel)
 	}

@@ -1,68 +1,71 @@
 package ctmc
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // Sink receives a chain definition as it is emitted: its states in order
 // and its rated transitions. *Builder satisfies it, so one emitter both
-// builds a chain and, through Rerate, re-rates a template built from it.
+// builds a chain and, through a Rerater, re-rates a template built from
+// it.
 type Sink interface {
 	State(name string) State
 	Transition(from, to State, rate float64)
 }
 
-// Rerate runs emit against the transition slots of tmpl, a model built
-// once from the same emitter, and returns a model that shares tmpl's state
-// names, name index, outgoing lists and irreducibility verdict but carries
-// the newly emitted rates. Parametric sweeps and Monte-Carlo sampling
-// solve one chain shape at many rates; re-rating skips a fresh Build's
-// name index, sorting, merging and connectivity check.
+// Rerater is a reusable re-rating of a template model: a Sink that writes
+// each emitted rate into the matching transition slot of tmpl, a model
+// built once from the same emitter. Parametric sweeps and Monte-Carlo
+// sampling solve one chain shape at many rates; re-rating in place skips a
+// fresh Build's name index, sorting, merging and connectivity check, and
+// a reused Rerater allocates nothing.
 //
-// The emitter must declare the states in tmpl's order. A state emitted
-// with an empty name matches whatever tmpl holds at that position; a
-// non-empty name must equal it.
+// Use it as Reset, run the emitter against it, then Matched. The emitter
+// must declare the states in tmpl's order. A state emitted with an empty
+// name matches whatever tmpl holds at that position; a non-empty name must
+// equal it.
 //
-// ok is false — and the caller should build the chain afresh with a
+// Matched is false — and the caller should build the chain afresh with a
 // Builder, which yields the right topology or validation error — when the
-// emission does not match tmpl: the state count or a name differs, a
+// emission does not fit tmpl: the state count or a name differs, a
 // transition is absent from tmpl or emitted twice, a template slot is
-// never written, or a rate is zero, negative or non-finite.
-func Rerate(tmpl *Model, emit func(Sink)) (m *Model, ok bool) {
-	r := &rerater{tmpl: tmpl, transitions: make([]Transition, len(tmpl.transitions)), ok: true}
-	for idx, tr := range tmpl.transitions {
-		r.transitions[idx] = Transition{From: tr.From, To: tr.To}
-	}
-	emit(r)
-	if !r.ok || r.states != len(tmpl.names) {
-		return nil, false
-	}
-	for _, tr := range r.transitions {
-		if tr.Rate == 0 {
-			return nil, false
-		}
-	}
-	m = &Model{
-		names:       tmpl.names,
-		index:       tmpl.index,
-		transitions: r.transitions,
-		outgoing:    tmpl.outgoing,
-	}
-	// Same states, same edges, all rates positive: same connectivity.
-	irr := tmpl.IsIrreducible()
-	m.irrOnce.Do(func() { m.irr = irr })
-	return m, true
-}
-
-// rerater is the Sink behind Rerate. transitions parallels tmpl's merged
-// transition list; a zero Rate marks a slot not yet written (zero rates
-// are rejected on emission, so a written slot is never zero).
-type rerater struct {
-	tmpl        *Model
+// never written, or a rate is zero, negative or non-finite. Same states,
+// same edges and all rates positive give the template's connectivity, so
+// a matched chain is irreducible exactly when tmpl is.
+//
+// A Rerater is not safe for concurrent use; the template is only read.
+type Rerater struct {
+	tmpl *Model
+	// transitions parallels tmpl's merged transition list; a zero Rate
+	// marks a slot not yet written (zero rates are rejected on emission,
+	// so a written slot is never zero).
 	transitions []Transition
 	states      int
 	ok          bool
 }
 
-func (r *rerater) State(name string) State {
+// NewRerater returns a re-rating of tmpl, ready for an emission.
+func NewRerater(tmpl *Model) *Rerater {
+	r := &Rerater{tmpl: tmpl, transitions: make([]Transition, len(tmpl.transitions))}
+	for idx, tr := range tmpl.transitions {
+		r.transitions[idx] = Transition{From: tr.From, To: tr.To}
+	}
+	r.Reset()
+	return r
+}
+
+// Reset clears the previous emission.
+func (r *Rerater) Reset() {
+	for idx := range r.transitions {
+		r.transitions[idx].Rate = 0
+	}
+	r.states = 0
+	r.ok = true
+}
+
+// State implements Sink.
+func (r *Rerater) State(name string) State {
 	s := State(r.states)
 	r.states++
 	if r.states > len(r.tmpl.names) || (name != "" && name != r.tmpl.names[s]) {
@@ -71,7 +74,8 @@ func (r *rerater) State(name string) State {
 	return s
 }
 
-func (r *rerater) Transition(from, to State, rate float64) {
+// Transition implements Sink.
+func (r *Rerater) Transition(from, to State, rate float64) {
 	if !r.ok {
 		return
 	}
@@ -91,4 +95,63 @@ func (r *rerater) Transition(from, to State, rate float64) {
 		}
 	}
 	r.ok = false
+}
+
+// Matched reports whether the emission since Reset fits the template.
+func (r *Rerater) Matched() bool {
+	if !r.ok || r.states != len(r.tmpl.names) {
+		return false
+	}
+	for _, tr := range r.transitions {
+		if tr.Rate == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Transitions returns the re-rated transitions in the template's merged
+// order. The slice is the Rerater's own: it is valid until the next Reset
+// and must not be modified.
+func (r *Rerater) Transitions() []Transition { return r.transitions }
+
+// SolveDense computes the stationary distribution of a matched emission
+// into pi (one entry per state) by the dense LU method, through s's
+// scratch storage. It is the dense path of SteadyState — the same
+// assembly, factorization and normalization, so the same bits — for
+// callers that re-rate a chain per evaluation: it counts the solve in
+// ctmc_solves_total and the last-solve gauges, but records no span and no
+// latency sample, and allocates nothing once s has solved a chain this
+// size.
+func (r *Rerater) SolveDense(s *Solver, pi []float64) error {
+	n := len(r.tmpl.names)
+	if len(pi) != n {
+		return fmt.Errorf("pi has length %d, want %d: %w", len(pi), n, ErrBadModel)
+	}
+	if !r.tmpl.IsIrreducible() {
+		return fmt.Errorf("steady state undefined: %w", ErrNotIrreducible)
+	}
+	if err := solveDense(s, n, r.transitions, pi); err != nil {
+		obsSolveErrors.Inc()
+		return err
+	}
+	if s != nil {
+		s.stats.Solves++
+	}
+	obsLastStates.Set(float64(n))
+	obsLastResidual.Set(0)
+	obsSolvesTotal(MethodDense).Inc()
+	return nil
+}
+
+// EntryFrequency is Model.EntryFrequency over the re-rated transitions,
+// with the target set given as one flag per state.
+func (r *Rerater) EntryFrequency(pi []float64, target []bool) float64 {
+	var f float64
+	for _, tr := range r.transitions {
+		if !target[tr.From] && target[tr.To] {
+			f += pi[tr.From] * tr.Rate
+		}
+	}
+	return f
 }

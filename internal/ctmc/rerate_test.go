@@ -1,6 +1,7 @@
 package ctmc
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -23,6 +24,13 @@ func buildFrom(t *testing.T, emit func(Sink)) (*Model, error) {
 	return b.Build()
 }
 
+// rerate runs emit against a fresh Rerater over tmpl.
+func rerate(tmpl *Model, emit func(Sink)) *Rerater {
+	r := NewRerater(tmpl)
+	emit(r)
+	return r
+}
+
 func TestRerateMatchesBuild(t *testing.T) {
 	t.Parallel()
 	tmpl, err := buildFrom(t, emitRing([4]float64{1, 2, 3, 4}))
@@ -30,15 +38,15 @@ func TestRerateMatchesBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	rates := [4]float64{0.5, 7, 1e-6, 3}
-	got, ok := Rerate(tmpl, emitRing(rates))
-	if !ok {
-		t.Fatal("Rerate reported no match for a same-shape emission")
+	r := rerate(tmpl, emitRing(rates))
+	if !r.Matched() {
+		t.Fatal("Rerater reported no match for a same-shape emission")
 	}
 	want, err := buildFrom(t, emitRing(rates))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gt, wt := got.Transitions(), want.Transitions()
+	gt, wt := r.Transitions(), want.Transitions()
 	if len(gt) != len(wt) {
 		t.Fatalf("got %d transitions, want %d", len(gt), len(wt))
 	}
@@ -47,14 +55,10 @@ func TestRerateMatchesBuild(t *testing.T) {
 			t.Errorf("transition %d = %+v, want %+v", i, gt[i], wt[i])
 		}
 	}
-	if s, err := got.StateByName("C"); err != nil || s != 2 {
-		t.Errorf("StateByName(C) = %v, %v; want 2", s, err)
-	}
-	if !got.IsIrreducible() {
-		t.Error("re-rated ring not irreducible")
-	}
-	gp, err := got.SteadyState(SolveOptions{})
-	if err != nil {
+	// SolveDense is SteadyState's dense path: same bits, and the same
+	// entry frequency as the built model.
+	gp := make([]float64, 3)
+	if err := r.SolveDense(NewSolver(), gp); err != nil {
 		t.Fatal(err)
 	}
 	wp, err := want.SteadyState(SolveOptions{})
@@ -66,9 +70,21 @@ func TestRerateMatchesBuild(t *testing.T) {
 			t.Errorf("π[%d] = %v, want %v", i, gp[i], wp[i])
 		}
 	}
+	if got, w := r.EntryFrequency(wp, []bool{false, false, true}), want.EntryFrequency(wp, map[State]bool{2: true}); got != w {
+		t.Errorf("entry frequency %v, want %v", got, w)
+	}
+	if err := r.SolveDense(nil, make([]float64, 2)); !errors.Is(err, ErrBadModel) {
+		t.Errorf("SolveDense into a short π: err = %v, want ErrBadModel", err)
+	}
 	// The template keeps its own rates.
 	if r := tmpl.Rate(0, 1); r != 1 {
 		t.Errorf("template rate A→B = %v after re-rating, want 1", r)
+	}
+	// A reset Rerater takes the next emission from scratch.
+	r.Reset()
+	emitRing([4]float64{1, 2, 3, 4})(r)
+	if !r.Matched() || r.Transitions()[0].Rate != 1 {
+		t.Errorf("after Reset: matched %v, transitions %+v", r.Matched(), r.Transitions())
 	}
 }
 
@@ -119,8 +135,8 @@ func TestRerateNoMatch(t *testing.T) {
 		},
 	}
 	for name, emit := range cases {
-		if m, ok := Rerate(tmpl, emit); ok || m != nil {
-			t.Errorf("%s: Rerate matched (model %v)", name, m)
+		if rerate(tmpl, emit).Matched() {
+			t.Errorf("%s: Rerater matched", name)
 		}
 	}
 	// Unnamed states match by position.
@@ -131,7 +147,7 @@ func TestRerateNoMatch(t *testing.T) {
 		sk.Transition(c, a, 3)
 		sk.Transition(b, a, 4)
 	}
-	if _, ok := Rerate(tmpl, unnamed); !ok {
+	if !rerate(tmpl, unnamed).Matched() {
 		t.Error("unnamed same-shape emission did not match")
 	}
 }
@@ -142,8 +158,16 @@ func TestRerateAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	emit := emitRing([4]float64{2, 3, 4, 5})
-	// The sink, the transition slice and the model.
-	if n := testing.AllocsPerRun(100, func() { Rerate(tmpl, emit) }); n > 3 {
-		t.Errorf("Rerate allocates %v times, want ≤ 3", n)
+	r, s, pi := NewRerater(tmpl), NewSolver(), make([]float64, 3)
+	reuse := func() {
+		r.Reset()
+		emit(r)
+		if !r.Matched() || r.SolveDense(s, pi) != nil {
+			t.Fatal("re-rated ring did not solve")
+		}
+	}
+	reuse()
+	if n := testing.AllocsPerRun(100, reuse); n != 0 {
+		t.Errorf("re-rating and solving in place allocates %v times, want 0", n)
 	}
 }

@@ -51,6 +51,15 @@ func (m Method) String() string {
 // the point where it would win on flop count alone.
 const denseThreshold = 1200
 
+// AutoMethod is the method MethodAuto picks for an n-state chain (before
+// any dense fallback).
+func AutoMethod(n int) Method {
+	if n <= denseThreshold {
+		return MethodDense
+	}
+	return MethodGaussSeidel
+}
+
 // denseFallbackLimit bounds the state count for which MethodAuto retries
 // a failed iterative solve with the dense solver.
 const denseFallbackLimit = 4000
@@ -188,11 +197,7 @@ func (m *Model) SteadyState(opts SolveOptions) ([]float64, error) {
 	method := opts.Method
 	auto := method == 0 || method == MethodAuto
 	if auto {
-		if m.NumStates() <= denseThreshold {
-			method = MethodDense
-		} else {
-			method = MethodGaussSeidel
-		}
+		method = AutoMethod(m.NumStates())
 	}
 	var iter sparse.IterStats
 	fellBack := false
@@ -300,16 +305,25 @@ func (m *Model) steadyStateBy(method Method, opts SolveOptions, iter *sparse.Ite
 	}
 }
 
-// steadyStateDense solves Qᵀπᵀ = 0 with the normalization Σπ = 1 replacing
-// the last (redundant) balance equation. A non-nil Solver supplies the
-// assembly and factorization storage so repeated solves allocate nothing.
+// steadyStateDense solves m by the dense method into a fresh vector.
 func (m *Model) steadyStateDense(s *Solver) ([]float64, error) {
-	n := m.NumStates()
+	pi := make([]float64, m.NumStates())
+	if err := solveDense(s, len(pi), m.transitions, pi); err != nil {
+		return nil, err
+	}
+	return pi, nil
+}
+
+// solveDense solves Qᵀπᵀ = 0 for the n-state chain with the given merged
+// transitions, with the normalization Σπ = 1 replacing the last
+// (redundant) balance equation, into pi. A non-nil Solver supplies the
+// assembly and factorization storage so repeated solves allocate nothing.
+func solveDense(s *Solver, n int, transitions []Transition, pi []float64) error {
 	a, b, x, lu := s.denseScratch(n)
 	// Assemble A = Qᵀ directly from the transition list — no intermediate
 	// dense Q. Entries landing on row n−1 are overwritten below when that
 	// (redundant) balance row becomes the normalization row.
-	for _, tr := range m.transitions {
+	for _, tr := range transitions {
 		a.Add(int(tr.To), int(tr.From), tr.Rate)
 		a.Add(int(tr.From), int(tr.From), -tr.Rate)
 	}
@@ -319,14 +333,14 @@ func (m *Model) steadyStateDense(s *Solver) ([]float64, error) {
 	b[n-1] = 1
 	if err := lu.FactorFrom(a); err != nil {
 		if errors.Is(err, numeric.ErrSingular) {
-			return nil, fmt.Errorf("balance equations singular: %w", ErrNotIrreducible)
+			return fmt.Errorf("balance equations singular: %w", ErrNotIrreducible)
 		}
-		return nil, fmt.Errorf("steady state: %w", err)
+		return fmt.Errorf("steady state: %w", err)
 	}
 	if err := lu.SolveInto(x, b); err != nil {
-		return nil, fmt.Errorf("steady state: %w", err)
+		return fmt.Errorf("steady state: %w", err)
 	}
-	pi := append([]float64(nil), x...)
+	copy(pi, x)
 	// Round-off can leave tiny negatives on near-degenerate chains.
 	for i := range pi {
 		if pi[i] < 0 && pi[i] > -1e-12 {
@@ -335,9 +349,9 @@ func (m *Model) steadyStateDense(s *Solver) ([]float64, error) {
 	}
 	numeric.Normalize(pi)
 	if !numeric.AllFinite(pi) {
-		return nil, fmt.Errorf("steady state produced non-finite probabilities: %w", ErrNotIrreducible)
+		return fmt.Errorf("steady state produced non-finite probabilities: %w", ErrNotIrreducible)
 	}
-	return pi, nil
+	return nil
 }
 
 // ProbabilityOf sums π over the given states.

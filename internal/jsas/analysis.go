@@ -64,21 +64,19 @@ func ApplyOverrides(p Params, overrides map[string]float64) (Params, error) {
 
 // UncertaintySolver adapts a configuration to the uncertainty package: each
 // sampled assignment is applied over the base parameters and the hierarchy
-// re-solved for yearly downtime. The configuration's chains are compiled
-// once, at base, and re-rated per sample; results equal Solve's bit for
-// bit. The returned solver is safe for concurrent use.
+// re-solved for yearly downtime. The hierarchy is compiled once, at base,
+// and each sample re-rates and re-solves it in a pooled workspace
+// (hier.Plan); results equal Solve's bit for bit. The returned solver is
+// safe for concurrent use.
 func UncertaintySolver(cfg Config, base Params) uncertainty.Solver {
-	c := compile(cfg, base)
+	ps := newPlanSolver(cfg, base)
 	return func(assignment map[string]float64) (float64, error) {
 		p, err := ApplyOverrides(base, assignment)
 		if err != nil {
 			return 0, err
 		}
-		res, err := c.solve(p)
-		if err != nil {
-			return 0, err
-		}
-		return res.YearlyDowntimeMinutes, nil
+		_, downtime, err := ps.solve(p)
+		return downtime, err
 	}
 }
 
@@ -112,20 +110,16 @@ func TstartLongSweepSolver(cfg Config, base Params) sensitivity.Solver {
 // SweepSolver generalizes the Figures 5/6 sweep to any of the §7 analysis
 // parameters (see the Param* constants): the swept value is the parameter
 // in its natural unit (per year for rates, hours for Tstart_long, a
-// fraction for FIR). Like UncertaintySolver, it compiles the
-// configuration's chains once and re-rates them per point.
+// fraction for FIR). Like UncertaintySolver, it compiles the hierarchy
+// once and re-rates it per point.
 func SweepSolver(cfg Config, base Params, param string) sensitivity.Solver {
-	c := compile(cfg, base)
+	ps := newPlanSolver(cfg, base)
 	return func(value float64) (float64, float64, error) {
 		p, err := ApplyOverrides(base, map[string]float64{param: value})
 		if err != nil {
 			return 0, 0, err
 		}
-		res, err := c.solve(p)
-		if err != nil {
-			return 0, 0, err
-		}
-		return res.Availability, res.YearlyDowntimeMinutes, nil
+		return ps.solve(p)
 	}
 }
 

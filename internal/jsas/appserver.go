@@ -55,15 +55,20 @@ func BuildAppServer(p Params, n int) (*reward.Structure, error) {
 	if err != nil {
 		return nil, fmt.Errorf("AS %d-instance model: %w", n, err)
 	}
-	down := []string{ASStateAllDown}
-	if n == 1 {
-		down = []string{as2DownShort, as2DownLong}
-	}
-	s, err := reward.Binary(m, down...)
+	s, err := asRewards(m, n)
 	if err != nil {
 		return nil, fmt.Errorf("AS %d-instance model: %w", n, err)
 	}
 	return s, nil
+}
+
+// asRewards marks the n-instance AS chain's failure states: All_Down, or
+// for a single instance both of its restart states.
+func asRewards(m *ctmc.Model, n int) (*reward.Structure, error) {
+	if n == 1 {
+		return reward.Binary(m, as2DownShort, as2DownLong)
+	}
+	return reward.Binary(m, ASStateAllDown)
 }
 
 // emitAppServer writes the n-instance AS chain into sk. named says

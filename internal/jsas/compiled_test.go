@@ -4,9 +4,12 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
+	"repro/internal/reward"
 	"repro/internal/uncertainty"
 )
 
@@ -57,12 +60,13 @@ func randomParams(rng *rand.Rand) Params {
 	return p
 }
 
-// TestCompiledMatchesSolve is the differential test of compile-once
-// evaluation: for seeded random parameter sets and the edge cases where a
-// chain's shape changes, solving through a configuration's compiled
-// templates must equal a fresh Solve bit for bit (and fail with the same
-// error text), and exactly the expected chains must take the build
-// fallback — a template that silently never matched would fail here.
+// TestCompiledMatchesSolve is the differential test of the compiled
+// plan: for seeded random parameter sets and the edge cases where a
+// chain's shape changes, solving through a configuration's plan must
+// equal a fresh Solve bit for bit — every node's measures and π, and the
+// same error text — and exactly the expected chain must send the point
+// down the Solve fallback: a template that silently never matched would
+// fail here.
 func TestCompiledMatchesSolve(t *testing.T) {
 	t.Parallel()
 	def := DefaultParams()
@@ -70,28 +74,28 @@ func TestCompiledMatchesSolve(t *testing.T) {
 	betaBase := with(func(p *Params) { p.Beta = 0.1 })
 
 	type tc struct {
-		name      string
-		cfg       Config
-		base, p   Params
-		fallbacks int64 // chains built afresh for this evaluation
-		wantErr   bool
+		name     string
+		cfg      Config
+		base, p  Params
+		fallback string // the chain the evaluation falls back at, if any
+		wantErr  bool
 	}
 	cases := []tc{
 		{name: "FIR = 0 drops Ok→2_Down", cfg: Config1, base: def,
-			p: with(func(p *Params) { p.FIR = 0 }), fallbacks: 1},
+			p: with(func(p *Params) { p.FIR = 0 }), fallback: "HADB Node Pair"},
 		// FSS ∈ {0, 1} drops a recovery branch, leaving the chain
 		// reducible: both paths must report the same solve error.
 		{name: "FSS = 0 (no AS software failures)", cfg: Config2, base: def,
-			p: with(func(p *Params) { p.ASFailuresPerYear = 0 }), fallbacks: 1, wantErr: true},
+			p: with(func(p *Params) { p.ASFailuresPerYear = 0 }), fallback: "Appl Server", wantErr: true},
 		{name: "FSS = 1 (no AS OS/HW failures)", cfg: Config1, base: def,
-			p: with(func(p *Params) { p.ASOSFailuresPerYear, p.ASHWFailuresPerYear = 0, 0 }), fallbacks: 1, wantErr: true},
-		{name: "Beta > 0 over a Beta = 0 template", cfg: Config1, base: def, p: betaBase, fallbacks: 1},
+			p: with(func(p *Params) { p.ASOSFailuresPerYear, p.ASHWFailuresPerYear = 0, 0 }), fallback: "Appl Server", wantErr: true},
+		{name: "Beta > 0 over a Beta = 0 template", cfg: Config1, base: def, p: betaBase, fallback: "JSAS"},
 		{name: "Beta > 0 template", cfg: Config2, base: betaBase,
 			p: with(func(p *Params) { p.Beta = 0.05; p.ASFailuresPerYear = 20 })},
 		{name: "Table 3 row 1", cfg: Table3Configs()[0], base: def,
 			p: with(func(p *Params) { p.ASRestartLong = 2 * time.Hour })},
 		{name: "wide cluster: La_appl underflows", cfg: Config{ASInstances: 12, HADBPairs: 6, HADBSpares: 2},
-			base: def, p: def, fallbacks: 1},
+			base: def, p: def, fallback: "JSAS"},
 		{name: "negative rate", cfg: Config1, base: def,
 			p: with(func(p *Params) { p.HADBHWFailuresPerYear = -1 }), wantErr: true},
 		{name: "bad configuration", cfg: Config{}, base: def, p: def, wantErr: true},
@@ -103,23 +107,163 @@ func TestCompiledMatchesSolve(t *testing.T) {
 	}
 
 	for i, c := range cases {
-		comp := compile(c.cfg, c.base)
-		got, gerr := comp.solve(c.p)
+		ps := newPlanSolver(c.cfg, c.base)
+		gotA, gotD, gerr := ps.solve(c.p)
 		want, werr := Solve(c.cfg, c.p)
 		if (gerr != nil) != c.wantErr || (werr != nil) != c.wantErr {
-			t.Fatalf("case %d (%s): compiled err %v, fresh err %v, want error %v", i, c.name, gerr, werr, c.wantErr)
+			t.Fatalf("case %d (%s): plan err %v, fresh err %v, want error %v", i, c.name, gerr, werr, c.wantErr)
 		}
-		if n := comp.fallbacks.Load(); n != c.fallbacks {
-			t.Errorf("case %d (%s): %d chains built afresh, want %d", i, c.name, n, c.fallbacks)
+		wantFallbacks := map[string]int64{}
+		if c.fallback != "" {
+			wantFallbacks[c.fallback] = 1
+		}
+		if ps.plan == nil {
+			if c.cfg.Validate() == nil {
+				t.Fatalf("case %d (%s): no plan for a valid configuration", i, c.name)
+			}
+		} else if got := ps.plan.Fallbacks(); !reflect.DeepEqual(got, wantFallbacks) {
+			t.Errorf("case %d (%s): fell back at %v, want %v", i, c.name, got, wantFallbacks)
 		}
 		if c.wantErr {
 			if gerr.Error() != werr.Error() {
-				t.Errorf("case %d (%s): compiled error %q, fresh %q", i, c.name, gerr, werr)
+				t.Errorf("case %d (%s): plan error %q, fresh %q", i, c.name, gerr, werr)
 			}
 			continue
 		}
-		if !reflect.DeepEqual(resultBits(reflect.ValueOf(got), nil), resultBits(reflect.ValueOf(want), nil)) {
-			t.Errorf("case %d (%s): compiled result differs from Solve\n got %+v\nwant %+v", i, c.name, got, want)
+		if math.Float64bits(gotA) != math.Float64bits(want.Availability) ||
+			math.Float64bits(gotD) != math.Float64bits(want.YearlyDowntimeMinutes) {
+			t.Errorf("case %d (%s): plan availability/downtime %v/%v, Solve %v/%v",
+				i, c.name, gotA, gotD, want.Availability, want.YearlyDowntimeMinutes)
+		}
+		if c.fallback != "" {
+			continue
+		}
+		// Every node's measures, not just the root's.
+		ws := ps.plan.NewWorkspace()
+		if !ps.plan.Eval(ws, c.p) {
+			t.Fatalf("case %d (%s): plan fell back on a second evaluation", i, c.name)
+		}
+		if got, want := nodeBits(ws.Results()), solveBits(want); !reflect.DeepEqual(got, want) {
+			t.Errorf("case %d (%s): plan node measures differ from Solve", i, c.name)
+		}
+	}
+}
+
+// nodeBits flattens a plan's node results, leaf first.
+func nodeBits(results []reward.Result) []uint64 {
+	var out []uint64
+	for i := range results {
+		out = resultBits(reflect.ValueOf(&results[i]), out)
+	}
+	return out
+}
+
+// solveBits flattens a SystemResult's submodel and system results in a
+// plan's leaf-first order: AS, HADB pair (if any), top model.
+func solveBits(r *SystemResult) []uint64 {
+	out := resultBits(reflect.ValueOf(r.ASSubmodel), nil)
+	if r.HADBSubmodel != nil {
+		out = resultBits(reflect.ValueOf(r.HADBSubmodel), out)
+	}
+	return resultBits(reflect.ValueOf(r.System), out)
+}
+
+// TestPlanWorkspaceReuse evaluates A, then B, then A again on one
+// workspace: both A evaluations must give the same bits, whether B
+// succeeded or stopped part-way (FIR = 0 falls back at the HADB pair
+// after the AS chain was solved at B), so no state leaks between samples.
+func TestPlanWorkspaceReuse(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(18))
+	for _, cfg := range []Config{Config1, Config2} {
+		pl := newPlanSolver(cfg, DefaultParams()).plan
+		ws := pl.NewWorkspace()
+		firZero := randomParams(rng)
+		firZero.FIR = 0
+		for _, b := range []Params{randomParams(rng), firZero} {
+			a := randomParams(rng)
+			if !pl.Eval(ws, a) {
+				t.Fatalf("%v: A fell back", cfg)
+			}
+			first := nodeBits(ws.Results())
+			pl.Eval(ws, b)
+			if !pl.Eval(ws, a) {
+				t.Fatalf("%v: A fell back after B", cfg)
+			}
+			if !reflect.DeepEqual(first, nodeBits(ws.Results())) {
+				t.Errorf("%v: A evaluated to different bits after B (FIR %v)", cfg, b.FIR)
+			}
+		}
+	}
+}
+
+// TestPlanConcurrentSolves runs one planSolver from several goroutines at
+// once, each borrowing pooled workspaces, against serial Solve results.
+func TestPlanConcurrentSolves(t *testing.T) {
+	t.Parallel()
+	const workers, perWorker = 4, 25
+	rng := rand.New(rand.NewSource(19))
+	for _, cfg := range []Config{Config1, Config2} {
+		ps := newPlanSolver(cfg, DefaultParams())
+		points := make([]Params, workers*perWorker)
+		want := make([]float64, len(points))
+		for i := range points {
+			points[i] = randomParams(rng)
+			r, err := Solve(cfg, points[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = r.YearlyDowntimeMinutes
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := w; i < len(points); i += workers {
+					_, got, err := ps.solve(points[i])
+					if err != nil || math.Float64bits(got) != math.Float64bits(want[i]) {
+						t.Errorf("%v point %d: plan %v (err %v), Solve %v", cfg, i, got, err, want[i])
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		if fb := ps.plan.Fallbacks(); len(fb) != 0 {
+			t.Errorf("%v: fell back %v", cfg, fb)
+		}
+	}
+}
+
+// TestPlanSampleSolveCount pins what one plan sample records: exactly
+// three dense solves in ctmc_solves_total (the AS cluster, the HADB pair
+// and the top model — perfbench's ctmc.solves_per_sample reads this
+// delta) and no SteadyState call, so no per-solve timer sample. Not
+// parallel: the counters are process-wide.
+func TestPlanSampleSolveCount(t *testing.T) {
+	solves := obs.C("ctmc_solves_total", "", `method="dense"`)
+	timed := obs.H("ctmc_solve_seconds", "", obs.DurationBuckets)
+	p, err := ApplyOverrides(DefaultParams(), map[string]float64{
+		ParamASFailures: 30, ParamHADBFailures: 2, ParamOSFailures: 1,
+		ParamHWFailures: 1, ParamTstartLong: 1.5, ParamFIR: 0.001,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []Config{Config1, Config2} {
+		ps := newPlanSolver(cfg, DefaultParams())
+		beforeSolves, beforeTimed := solves.Value(), timed.Count()
+		if _, _, err := ps.solve(p); err != nil {
+			t.Fatal(err)
+		}
+		if n := solves.Value() - beforeSolves; n != 3 {
+			t.Errorf("%v: one sample advanced ctmc_solves_total{method=dense} by %d, want 3", cfg, n)
+		}
+		if n := timed.Count() - beforeTimed; n != 0 {
+			t.Errorf("%v: one sample observed %d solve timings, want 0", cfg, n)
+		}
+		if fb := ps.plan.Fallbacks(); len(fb) != 0 {
+			t.Errorf("%v: sample fell back %v", cfg, fb)
 		}
 	}
 }
@@ -173,26 +317,32 @@ func TestUncertaintySolverParallelDeterministic(t *testing.T) {
 }
 
 // TestUncertaintySampleAllocations caps the allocations of one warmed
-// Figure 7 (Config 1) and Figure 8 (Config 2) sample. Building every
-// chain afresh costs 158 and 193.
+// Figure 7 (Config 1) and Figure 8 (Config 2) sample, and of one warmed
+// Figures 5/6 sweep point. Building every chain afresh costs 158 and 193
+// per sample.
 func TestUncertaintySampleAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
+	const limit = 6
 	assignment := map[string]float64{
 		ParamASFailures: 30, ParamHADBFailures: 2, ParamOSFailures: 1,
 		ParamHWFailures: 1, ParamTstartLong: 1.5, ParamFIR: 0.001,
 	}
-	for _, c := range []struct {
-		cfg   Config
-		limit float64
-	}{{Config1, 70}, {Config2, 75}} {
-		solve := UncertaintySolver(c.cfg, DefaultParams())
+	for _, cfg := range []Config{Config1, Config2} {
+		solve := UncertaintySolver(cfg, DefaultParams())
 		if _, err := solve(assignment); err != nil {
 			t.Fatal(err)
 		}
-		if n := testing.AllocsPerRun(50, func() { _, _ = solve(assignment) }); n > c.limit {
-			t.Errorf("%v: %v allocations per sample, want ≤ %v", c.cfg, n, c.limit)
+		if n := testing.AllocsPerRun(50, func() { _, _ = solve(assignment) }); n > limit {
+			t.Errorf("%v: %v allocations per sample, want ≤ %v", cfg, n, limit)
+		}
+		point := SweepSolver(cfg, DefaultParams(), ParamTstartLong)
+		if _, _, err := point(1.5); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(50, func() { _, _, _ = point(1.5) }); n > limit {
+			t.Errorf("%v: %v allocations per sweep point, want ≤ %v", cfg, n, limit)
 		}
 	}
 }

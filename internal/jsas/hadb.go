@@ -42,11 +42,16 @@ func BuildHADBPair(p Params) (*reward.Structure, error) {
 	if err != nil {
 		return nil, fmt.Errorf("HADB pair model: %w", err)
 	}
-	s, err := reward.Binary(m, HADBStateDown)
+	s, err := hadbRewards(m)
 	if err != nil {
 		return nil, fmt.Errorf("HADB pair model: %w", err)
 	}
 	return s, nil
+}
+
+// hadbRewards marks 2_Down as the node pair's only failure state.
+func hadbRewards(m *ctmc.Model) (*reward.Structure, error) {
+	return reward.Binary(m, HADBStateDown)
 }
 
 // emitHADBPair writes the Figure 3 node-pair chain into sk.

@@ -73,8 +73,9 @@ func TestSolveWithMatchesPooledSolve(t *testing.T) {
 
 // TestConcurrentSolvesWithPerWorkerSolvers runs full JSAS hierarchy solves
 // from many goroutines, each with its own Solver (and, through Solve, the
-// shared sync.Pool) — the contract the parallel sweep and Monte-Carlo
-// drivers rely on. Meant to run under -race.
+// shared sync.Pool) — the contract concurrent Solve callers (server
+// requests, a planSolver's fallback points) rely on. Meant to run under
+// -race.
 func TestConcurrentSolvesWithPerWorkerSolvers(t *testing.T) {
 	p := DefaultParams()
 	want, err := Solve(Config1, p)

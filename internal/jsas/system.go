@@ -3,7 +3,6 @@ package jsas
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/ctmc"
 	"repro/internal/hier"
@@ -50,12 +49,6 @@ type SystemResult struct {
 // Application Server and HADB node-pair submodels bound into the Figure 2
 // top-level diagram via their equivalent (λ, μ) rates.
 func Components(cfg Config, p Params) (*hier.Component, error) {
-	return components(cfg, p, nil)
-}
-
-// components is Components with each chain re-rated from c's templates
-// where they match (a nil c builds every chain afresh).
-func components(cfg Config, p Params, c *compiled) (*hier.Component, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -63,15 +56,15 @@ func components(cfg Config, p Params, c *compiled) (*hier.Component, error) {
 		return nil, err
 	}
 	as := hier.NewComponent("Appl Server", func(hier.Params) (*reward.Structure, error) {
-		return c.appServer(p, cfg.ASInstances)
+		return BuildAppServer(p, cfg.ASInstances)
 	})
 	top := hier.NewComponent("JSAS", func(env hier.Params) (*reward.Structure, error) {
-		return c.topModel(cfg, p, env)
+		return buildTopModel(cfg, p, env)
 	})
 	top.Use(as, "La_appl", "Mu_appl")
 	if cfg.HADBPairs > 0 {
 		hadb := hier.NewComponent("HADB Node Pair", func(hier.Params) (*reward.Structure, error) {
-			return c.hadbPair(p)
+			return BuildHADBPair(p)
 		})
 		top.Use(hadb, "La_hadb", "Mu_hadb")
 	}
@@ -82,27 +75,40 @@ func components(cfg Config, p Params, c *compiled) (*hier.Component, error) {
 // common-cause state when p.Beta > 0) from the submodel equivalent rates
 // bound in env.
 func buildTopModel(cfg Config, p Params, env hier.Params) (*reward.Structure, error) {
-	b := ctmc.NewBuilder()
-	if err := emitTopModel(b, cfg, p, env); err != nil {
-		return nil, err
+	var bound [4]float64
+	var ok bool
+	if bound[0], ok = env["La_appl"]; !ok {
+		return nil, fmt.Errorf("missing La_appl binding: %w", ErrBadConfig)
 	}
+	bound[1] = env["Mu_appl"]
+	if cfg.HADBPairs > 0 {
+		if bound[2], ok = env["La_hadb"]; !ok {
+			return nil, fmt.Errorf("missing La_hadb binding: %w", ErrBadConfig)
+		}
+		bound[3] = env["Mu_hadb"]
+	}
+	b := ctmc.NewBuilder()
+	emitTopModel(b, cfg, &p, bound[:])
 	m, err := b.Build()
 	if err != nil {
 		return nil, fmt.Errorf("system model: %w", err)
 	}
-	// Ok is the first state emitted; every other state is a failure state.
+	return topRewards(m)
+}
+
+// topRewards marks Ok, the first state emitted, as the top model's only
+// working state.
+func topRewards(m *ctmc.Model) (*reward.Structure, error) {
 	rates := make([]float64, m.NumStates())
 	rates[0] = 1
 	return reward.New(m, rates)
 }
 
-// emitTopModel writes the Figure 2 chain into sk.
-func emitTopModel(sk ctmc.Sink, cfg Config, p Params, env hier.Params) error {
-	laAppl, ok := env["La_appl"]
-	if !ok {
-		return fmt.Errorf("missing La_appl binding: %w", ErrBadConfig)
-	}
-	muAppl := env["Mu_appl"]
+// emitTopModel writes the Figure 2 chain into sk from the submodels'
+// equivalent rates: bound holds λ_eq, μ_eq of the AS submodel, then of the
+// HADB pair when cfg has one.
+func emitTopModel(sk ctmc.Sink, cfg Config, p *Params, bound []float64) {
+	laAppl, muAppl := bound[0], bound[1]
 	okState := sk.State(SystemStateOk)
 	// Total independent top-level failure rate — the base the beta-factor
 	// mode scales from.
@@ -117,11 +123,7 @@ func emitTopModel(sk ctmc.Sink, cfg Config, p Params, env hier.Params) error {
 		totalInd += laAppl
 	}
 	if cfg.HADBPairs > 0 {
-		laHADB, okh := env["La_hadb"]
-		if !okh {
-			return fmt.Errorf("missing La_hadb binding: %w", ErrBadConfig)
-		}
-		muHADB := env["Mu_hadb"]
+		laHADB, muHADB := bound[2], bound[3]
 		if laHADB > 0 && muHADB > 0 {
 			hadbFail := sk.State(SystemStateHADBFail)
 			sk.Transition(okState, hadbFail, float64(cfg.HADBPairs)*laHADB)
@@ -141,102 +143,99 @@ func emitTopModel(sk ctmc.Sink, cfg Config, p Params, env hier.Params) error {
 		sk.Transition(okState, ccFail, laCC)
 		sk.Transition(ccFail, okState, muCC)
 	}
-	return nil
 }
 
-// compiled holds one configuration's chain templates, each built once
-// from base parameters by the emitter that later re-rates it: an analysis
-// that solves the configuration at many parameter points rewrites rates
-// instead of rebuilding chains. A chain whose emission does not match its
-// template (a rate became zero, the top model gained or lost a state —
-// see ctmc.Rerate) is built afresh, so results and errors are exactly
-// those of a fresh build. Templates are read-only once compiled, so a
-// *compiled is safe for concurrent use. A nil *compiled, or a nil
-// template, always builds.
-type compiled struct {
-	cfg           Config
-	as, hadb, top *reward.Structure
-	// fallbacks counts chains built afresh because re-rating did not
-	// match (or the template failed to compile).
-	fallbacks atomic.Int64
+// planSolver evaluates one configuration at many parameter points — the
+// Figures 5–8 analyses — through its hierarchy compiled once at base
+// parameters (hier.Compile): the same hierarchy as Components, declared
+// with the chains' emitters. A point whose chain does not match its
+// template (FIR = 0 drops Ok→2_Down, a wide cluster's La_appl underflows
+// and AS_Fail disappears, Beta > 0 over a Beta = 0 template adds CC_Fail)
+// is solved by Solve instead, so results and errors are always Solve's.
+// A planSolver is safe for concurrent use: each call borrows a pooled
+// workspace.
+type planSolver struct {
+	cfg        Config
+	plan       *hier.Plan[Params] // nil: every point goes to Solve
+	workspaces sync.Pool
 }
 
-// compile builds cfg's chain templates at base. A chain that fails to
-// build leaves its template nil; its evaluations then take the build
-// path and report the build's error.
-func compile(cfg Config, base Params) *compiled {
-	c := &compiled{cfg: cfg}
-	c.as, _ = BuildAppServer(base, cfg.ASInstances)
+func newPlanSolver(cfg Config, base Params) *planSolver {
+	ps := &planSolver{cfg: cfg}
+	if cfg.Validate() != nil {
+		return ps
+	}
+	n := cfg.ASInstances
+	as := &hier.Node[Params]{
+		Name: "Appl Server",
+		Emit: func(sk ctmc.Sink, p *Params, _ []float64) {
+			// A re-rating sink matches states by position, so only a
+			// build names them.
+			_, named := sk.(*ctmc.Builder)
+			emitAppServer(sk, *p, n, named)
+		},
+		Rewards: func(m *ctmc.Model) (*reward.Structure, error) { return asRewards(m, n) },
+	}
+	top := &hier.Node[Params]{
+		Name: "JSAS",
+		Emit: func(sk ctmc.Sink, p *Params, bound []float64) {
+			emitTopModel(sk, cfg, p, bound)
+		},
+		Rewards:  topRewards,
+		Children: []*hier.Node[Params]{as},
+	}
 	if cfg.HADBPairs > 0 {
-		c.hadb, _ = BuildHADBPair(base)
+		top.Children = append(top.Children, &hier.Node[Params]{
+			Name:    "HADB Node Pair",
+			Emit:    func(sk ctmc.Sink, p *Params, _ []float64) { emitHADBPair(sk, *p) },
+			Rewards: hadbRewards,
+		})
 	}
-	// The top model's shape depends only on which bound rates are
-	// positive, so placeholders stand in for the submodels' equivalent
-	// rates.
-	c.top, _ = buildTopModel(cfg, base, hier.Params{"La_appl": 1, "Mu_appl": 1, "La_hadb": 1, "Mu_hadb": 1})
-	return c
+	plan, err := hier.Compile(top, base)
+	if err != nil {
+		// Every node above is well formed; an error here is a bug.
+		panic(fmt.Sprintf("jsas: compiling %v: %v", cfg, err))
+	}
+	ps.plan = plan
+	ps.workspaces.New = func() any { return plan.NewWorkspace() }
+	return ps
 }
 
-// rerate re-rates tmpl with the rates emit writes; ok is false when there
-// is no template or the emission does not match it.
-func (c *compiled) rerate(tmpl *reward.Structure, emit func(ctmc.Sink)) (*reward.Structure, bool) {
-	if tmpl != nil {
-		if m, ok := ctmc.Rerate(tmpl.Model(), emit); ok {
-			if s, err := tmpl.WithModel(m); err == nil {
-				return s, true
-			}
+// solve returns the system availability and yearly downtime at p. Invalid
+// parameters go to Solve too, which reports them.
+func (ps *planSolver) solve(p Params) (availability, downtimeMinutes float64, err error) {
+	if ps.plan != nil && p.Validate() == nil {
+		ws := ps.workspaces.Get().(*hier.Workspace[Params])
+		ok := ps.plan.Eval(ws, p)
+		if ok {
+			r := ws.Results()
+			top := &r[len(r)-1]
+			availability, downtimeMinutes = top.Availability, top.YearlyDowntimeMinutes
+		}
+		ps.workspaces.Put(ws)
+		if ok {
+			return availability, downtimeMinutes, nil
 		}
 	}
-	c.fallbacks.Add(1)
-	return nil, false
-}
-
-func (c *compiled) appServer(p Params, n int) (*reward.Structure, error) {
-	if c != nil {
-		if s, ok := c.rerate(c.as, func(sk ctmc.Sink) { emitAppServer(sk, p, n, false) }); ok {
-			return s, nil
-		}
+	res, err := Solve(ps.cfg, p)
+	if err != nil {
+		return 0, 0, err
 	}
-	return BuildAppServer(p, n)
-}
-
-func (c *compiled) hadbPair(p Params) (*reward.Structure, error) {
-	if c != nil {
-		if s, ok := c.rerate(c.hadb, func(sk ctmc.Sink) { emitHADBPair(sk, p) }); ok {
-			return s, nil
-		}
-	}
-	return BuildHADBPair(p)
-}
-
-func (c *compiled) topModel(cfg Config, p Params, env hier.Params) (*reward.Structure, error) {
-	if c != nil {
-		var err error
-		if s, ok := c.rerate(c.top, func(sk ctmc.Sink) { err = emitTopModel(sk, cfg, p, env) }); ok && err == nil {
-			return s, nil
-		}
-	}
-	return buildTopModel(cfg, p, env)
-}
-
-// solve evaluates the hierarchy at p through the templates, drawing a
-// pooled solve context like Solve.
-func (c *compiled) solve(p Params) (*SystemResult, error) {
-	s := solverPool.Get().(*ctmc.Solver)
-	defer solverPool.Put(s)
-	return solveWith(c.cfg, p, s, c)
+	return res.Availability, res.YearlyDowntimeMinutes, nil
 }
 
 // solverPool recycles solve contexts across Solve calls. The JSAS chains
-// are tiny but solved in bulk (tables, sweeps, Monte-Carlo sampling), so
-// reusing the dense scratch and warm-start caches removes nearly all
-// per-solve allocation. Each borrowed Solver is used by one goroutine at a
+// are tiny but solved in bulk (tables, server requests, the points a
+// planSolver falls back on), so reusing the dense scratch and warm-start
+// caches removes most per-solve allocation. Each borrowed Solver is used by one goroutine at a
 // time, which is exactly the contract ctmc.Solver requires.
 var solverPool = sync.Pool{New: func() any { return ctmc.NewSolver() }}
 
 // Solve evaluates the full hierarchy for a configuration and returns the
-// system-level measures. It draws a pooled solve context; callers that
-// manage their own (e.g. per-worker) contexts should use SolveWith.
+// system-level measures, building every chain afresh. It draws a pooled
+// solve context; callers that manage their own should use SolveWith.
+// Analyses that solve one configuration at many parameter points go
+// through UncertaintySolver or SweepSolver, which compile it once.
 func Solve(cfg Config, p Params) (*SystemResult, error) {
 	s := solverPool.Get().(*ctmc.Solver)
 	defer solverPool.Put(s)
@@ -247,12 +246,7 @@ func Solve(cfg Config, p Params) (*SystemResult, error) {
 // caller-supplied solve context (which must not be shared across
 // goroutines; pass nil to allocate per solve).
 func SolveWith(cfg Config, p Params, s *ctmc.Solver) (*SystemResult, error) {
-	return solveWith(cfg, p, s, nil)
-}
-
-// solveWith is SolveWith through c's templates (nil c: fresh builds).
-func solveWith(cfg Config, p Params, s *ctmc.Solver, c *compiled) (*SystemResult, error) {
-	top, err := components(cfg, p, c)
+	top, err := Components(cfg, p)
 	if err != nil {
 		return nil, err
 	}

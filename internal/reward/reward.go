@@ -78,16 +78,6 @@ func Binary(m *ctmc.Model, downNames ...string) (*Structure, error) {
 	return New(m, rates)
 }
 
-// WithModel returns a structure over m — a re-rating of s's model (see
-// ctmc.Rerate), with the same states in the same order — that shares s's
-// reward vector and down set instead of copying them.
-func (s *Structure) WithModel(m *ctmc.Model) (*Structure, error) {
-	if m == nil || m.NumStates() != len(s.rates) {
-		return nil, fmt.Errorf("model does not re-rate the structure's %d states: %w", len(s.rates), ErrReward)
-	}
-	return &Structure{model: m, rates: s.rates, upSet: s.upSet, downSet: s.downSet}, nil
-}
-
 // Model returns the underlying CTMC.
 func (s *Structure) Model() *ctmc.Model { return s.model }
 
@@ -144,27 +134,38 @@ func (s *Structure) FromPi(pi []float64) (*Result, error) {
 		return nil, fmt.Errorf("pi has %d entries for %d states: %w", len(pi), s.model.NumStates(), ErrReward)
 	}
 	res := &Result{Pi: append([]float64(nil), pi...)}
+	if err := Measure(res, pi, s.rates, s.model.EntryFrequency(pi, s.downSet)); err != nil {
+		return nil, fmt.Errorf("reward solve: %w", err)
+	}
+	return res, nil
+}
+
+// Measure fills every measure of res but Pi from a chain's stationary
+// distribution pi, its reward rates (one per state; the reward-0 states
+// are the down set) and its failure frequency — the steady-state rate of
+// entering the down set. It allocates nothing, so a caller that re-rates
+// and re-solves one chain shape per evaluation can keep res in place;
+// FromPi is Measure over a copy of π.
+func Measure(res *Result, pi, rates []float64, failureFrequency float64) error {
 	var expected, pDown float64
 	for i, p := range pi {
-		expected += p * s.rates[i]
-		if s.downSet[ctmc.State(i)] {
+		expected += p * rates[i]
+		if rates[i] == 0 {
 			pDown += p
 		}
 	}
 	res.ExpectedReward = expected
 	res.Availability = 1 - pDown
 	res.YearlyDowntimeMinutes = pDown * MinutesPerYear
-	res.FailureFrequency = s.model.EntryFrequency(pi, s.downSet)
-	if res.FailureFrequency > 0 {
-		res.MTBFHours = 1 / res.FailureFrequency
-		res.MeanDownDurationHours = pDown / res.FailureFrequency
+	res.FailureFrequency = failureFrequency
+	res.MTBFHours, res.MeanDownDurationHours = 0, 0
+	if failureFrequency > 0 {
+		res.MTBFHours = 1 / failureFrequency
+		res.MeanDownDurationHours = pDown / failureFrequency
 	}
-	lambdaEq, muEq, err := s.model.EquivalentRates(pi, s.downSet)
-	if err != nil {
-		return nil, fmt.Errorf("reward solve: %w", err)
-	}
-	res.LambdaEq, res.MuEq = lambdaEq, muEq
-	return res, nil
+	var err error
+	res.LambdaEq, res.MuEq, err = ctmc.EquivalentRatesFrom(pDown, failureFrequency)
+	return err
 }
 
 // DowntimeShare apportions steady-state downtime among disjoint groups of

@@ -289,44 +289,56 @@ func TestLumpedPreservesMeasures(t *testing.T) {
 	}
 }
 
-func TestWithModelSharesRewards(t *testing.T) {
+// TestMeasureMatchesFromPi: Measure into a reused Result gives FromPi's
+// measures bit for bit, whatever the Result held before, and FromPi's
+// error is Measure's.
+func TestMeasureMatchesFromPi(t *testing.T) {
 	t.Parallel()
-	emit := func(lambda, mu float64) func(ctmc.Sink) {
-		return func(sk ctmc.Sink) {
-			up, down := sk.State("Up"), sk.State("Down")
-			sk.Transition(up, down, lambda)
-			sk.Transition(down, up, mu)
+	b := ctmc.NewBuilder()
+	s0, s1, s2, s3 := b.State("Full"), b.State("Degraded"), b.State("DownA"), b.State("DownB")
+	b.Transition(s0, s1, 0.02)
+	b.Transition(s1, s2, 0.01)
+	b.Transition(s1, s3, 0.003)
+	b.Transition(s0, s3, 0.0007)
+	b.Transition(s1, s0, 3)
+	b.Transition(s2, s0, 0.5)
+	b.Transition(s3, s1, 0.25)
+	m, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rates := []float64{1, 0.5, 0, 0}
+	s, err := New(m, rates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := s.Solve(ctmc.SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := Result{Availability: 7, MTBFHours: 7, MeanDownDurationHours: 7, MuEq: 7}
+	if err := Measure(&got, want.Pi, rates, m.EntryFrequency(want.Pi, s.DownStates())); err != nil {
+		t.Fatal(err)
+	}
+	fields := func(r *Result) [8]uint64 {
+		var out [8]uint64
+		for i, v := range []float64{r.Availability, r.ExpectedReward, r.YearlyDowntimeMinutes,
+			r.FailureFrequency, r.MTBFHours, r.MeanDownDurationHours, r.LambdaEq, r.MuEq} {
+			out[i] = math.Float64bits(v)
 		}
+		return out
 	}
-	tmpl, err := Binary(buildTwoState(t, 1, 1), "Down")
+	if fields(&got) != fields(want) {
+		t.Errorf("Measure = %+v, FromPi = %+v", got, *want)
+	}
+
+	allDown, err := New(m, make([]float64, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, ok := ctmc.Rerate(tmpl.Model(), emit(0.001, 2))
-	if !ok {
-		t.Fatal("Rerate: no match")
-	}
-	s, err := tmpl.WithModel(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := Binary(buildTwoState(t, 0.001, 2), "Down")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Solve(ctmc.SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := fresh.Solve(ctmc.SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Availability != want.Availability || got.FailureFrequency != want.FailureFrequency ||
-		got.LambdaEq != want.LambdaEq || got.MuEq != want.MuEq {
-		t.Errorf("re-rated structure solved to %+v, fresh build to %+v", got, want)
-	}
-	if _, err := tmpl.WithModel(nil); !errors.Is(err, ErrReward) {
-		t.Errorf("WithModel(nil): err = %v, want ErrReward", err)
+	_, ferr := allDown.FromPi(want.Pi)
+	merr := Measure(&got, want.Pi, make([]float64, 4), 0)
+	if ferr == nil || merr == nil || ferr.Error() != "reward solve: "+merr.Error() || !errors.Is(merr, ctmc.ErrBadModel) {
+		t.Errorf("all-down chain: FromPi err %v, Measure err %v", ferr, merr)
 	}
 }

@@ -24,7 +24,9 @@
 //	POST /v1/jobs               (submit an async job; 202 + job ID)
 //	GET  /v1/jobs               (job records, newest first)
 //	GET  /v1/jobs/{id}          (poll status/result; cache + progress)
-//	GET  /v1/jobs/{id}/stream   (Server-Sent Events until the job ends)
+//	GET  /v1/jobs/{id}/stream   (Server-Sent Events: status frames each
+//	                             ?interval= tick, then a done frame the
+//	                             moment the job ends)
 //	POST /v1/solve              (spec.Document)
 //	POST /v1/solve-hierarchy    (spec.HierDocument)
 //	GET  /v1/jsas?instances=4&pairs=4&spares=2

@@ -87,9 +87,12 @@ func (s *Solver) warmStart(m *Model) []float64 {
 	return s.warm[warmKey{m.NumStates(), m.NumTransitions()}]
 }
 
-// noteSolve records a completed solve and caches its π for warm-starting
-// the next solve of a same-shaped chain.
-func (s *Solver) noteSolve(m *Model, pi []float64, iter sparse.IterStats) {
+// noteSolve records a completed solve and, when an iterative method
+// produced it, caches its π for warm-starting the next solve of a
+// same-shaped chain. A dense solve never reads the cache, so it does not
+// write it either: a later iterative solve of the same shape must not
+// start from wherever the dense path last left off.
+func (s *Solver) noteSolve(m *Model, pi []float64, method Method, iter sparse.IterStats) {
 	if s == nil {
 		return
 	}
@@ -99,6 +102,9 @@ func (s *Solver) noteSolve(m *Model, pi []float64, iter sparse.IterStats) {
 		s.stats.WarmSweeps += iter.Sweeps
 	} else {
 		s.stats.ColdSweeps += iter.Sweeps
+	}
+	if method == MethodDense {
+		return
 	}
 	key := warmKey{m.NumStates(), m.NumTransitions()}
 	dst, ok := s.warm[key]
@@ -112,6 +118,15 @@ func (s *Solver) noteSolve(m *Model, pi []float64, iter sparse.IterStats) {
 	}
 	copy(dst, pi)
 	s.warm[key] = dst
+}
+
+// ForgetWarmStarts empties the warm-start cache, so the next iterative
+// solve of every chain shape starts cold from the uniform vector. A
+// Solver shared across unrelated callers (a pool) forgets between them:
+// otherwise an iterative solve's last bits depend on which chain the
+// Solver happened to solve before.
+func (s *Solver) ForgetWarmStarts() {
+	clear(s.warm)
 }
 
 // denseScratch returns the Solver-owned (or, for a nil Solver, freshly

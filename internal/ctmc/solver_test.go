@@ -116,6 +116,47 @@ func TestWarmStartViaSolver(t *testing.T) {
 	}
 }
 
+// TestReusedSolverMatchesFresh: a Solver reused after a same-shape solve
+// gives a Gauss–Seidel solve the same bits as a fresh Solver when that
+// earlier solve was dense (dense solves leave the warm cache alone) or
+// when the cache was forgotten in between, as a pool does.
+func TestReusedSolverMatchesFresh(t *testing.T) {
+	gs := SolveOptions{Method: MethodGaussSeidel}
+	want, err := NewSolver().SteadyState(stiffModel(t, 1.5), gs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(name string, s *Solver) {
+		t.Helper()
+		var d Diagnostics
+		got, err := s.SteadyState(stiffModel(t, 1.5), SolveOptions{Method: MethodGaussSeidel, Diag: &d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.WarmStart {
+			t.Errorf("%s: solve was warm-started", name)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: π[%d] = %v, fresh Solver gave %v", name, i, got[i], want[i])
+			}
+		}
+	}
+
+	afterDense := NewSolver()
+	if _, err := afterDense.SteadyState(stiffModel(t, 1), SolveOptions{Method: MethodDense}); err != nil {
+		t.Fatal(err)
+	}
+	check("after a dense solve", afterDense)
+
+	forgotten := NewSolver()
+	if _, err := forgotten.SteadyState(stiffModel(t, 1), gs); err != nil {
+		t.Fatal(err)
+	}
+	forgotten.ForgetWarmStarts()
+	check("after ForgetWarmStarts", forgotten)
+}
+
 // TestSolverDensePathMatchesOneShot runs repeated dense solves through one
 // Solver (reusing assembly and factorization storage) and checks
 // bit-identical agreement with the allocation-per-solve path.

@@ -251,7 +251,7 @@ func (m *Model) SteadyState(opts SolveOptions) ([]float64, error) {
 		}
 		return pi, err
 	}
-	opts.Solver.noteSolve(m, pi, iter)
+	opts.Solver.noteSolve(m, pi, method, iter)
 	obsSolvesTotal(method).Inc()
 	return pi, nil
 }

@@ -7,7 +7,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ctmc"
 	"repro/internal/jobs"
+	"repro/internal/jsas"
 )
 
 // TestSyncErrorBodiesPinned pins the exact 4xx bodies of the sync routes:
@@ -29,6 +31,7 @@ func TestSyncErrorBodiesPinned(t *testing.T) {
 		{"GET", "/v1/jsas/uncertainty?samples=abc", "", 400, `{"error":"samples: want an integer, got \"abc\""}`},
 		{"GET", "/v1/jsas/uncertainty?samples=0&seed=zz", "", 400, `{"error":"samples 0 outside [1, 20000]"}`},
 		{"GET", "/v1/jsas/uncertainty?samples=20001", "", 400, `{"error":"samples 20001 outside [1, 20000]"}`},
+		{"GET", "/v1/jsas/uncertainty?instances=19", "", 400, `{"error":"instances 19 outside [1, 18]"}`},
 		{"GET", "/v1/jsas/uncertainty?seed=zz", "", 400, `{"error":"seed: want an integer, got \"zz\""}`},
 		{"GET", "/v1/jsas/uncertainty?pairs=x", "", 400, `{"error":"pairs: want an integer, got \"x\""}`},
 		{"POST", "/v1/solve", `{"name":"x"}`, 400, `{"error":"model \"x\" has no states: spec: invalid model specification"}`},
@@ -86,6 +89,8 @@ func TestSyncMatchesJobResult(t *testing.T) {
 			JobKindJSAS, `{"instances":65}`, 400},
 		{"samples out of range", "GET", "/v1/jsas/uncertainty?samples=0", "",
 			JobKindUncertainty, `{"samples":0}`, 400},
+		{"uncertainty instances past the dense cap", "GET", "/v1/jsas/uncertainty?instances=19", "",
+			JobKindUncertainty, `{"instances":19}`, 400},
 		{"bayes on a flat document", "POST", "/v1/solve?backend=bayes", flatModel, JobKindBayes, flatModel, 400},
 		{"redundancy past the product cap", "POST", "/v1/solve", bigRedundancyModel, JobKindSolve, bigRedundancyModel, 400},
 	}
@@ -115,5 +120,28 @@ func TestSyncMatchesJobResult(t *testing.T) {
 				t.Fatalf("sync body differs from job result:\nsync: %s\njob:  %s", syncBody, want)
 			}
 		})
+	}
+}
+
+// TestUncertaintyInstanceCapIsDenseThreshold derives the uncertainty
+// instance cap: the largest AS cluster whose chain ctmc.AutoMethod still
+// solves densely, so every accepted request stays on the compiled plan's
+// dense path and the cap cannot drift from the dense threshold.
+func TestUncertaintyInstanceCapIsDenseThreshold(t *testing.T) {
+	method := func(n int) ctmc.Method {
+		t.Helper()
+		st, err := jsas.BuildAppServer(jsas.DefaultParams(), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ctmc.AutoMethod(st.Model().NumStates())
+	}
+	if m := method(maxUncertaintyInstances); m != ctmc.MethodDense {
+		t.Errorf("a %d-instance AS chain is solved by %v, want dense: lower maxUncertaintyInstances",
+			maxUncertaintyInstances, m)
+	}
+	if m := method(maxUncertaintyInstances + 1); m == ctmc.MethodDense {
+		t.Errorf("a %d-instance AS chain is still dense: raise maxUncertaintyInstances",
+			maxUncertaintyInstances+1)
 	}
 }

@@ -129,8 +129,10 @@ type Options struct {
 //	                            request hash (cache + single-flight)
 //	GET  /v1/jobs               retained jobs, newest first (no results)
 //	GET  /v1/jobs/{id}          job status, progress, and result
-//	GET  /v1/jobs/{id}/stream   job status over Server-Sent Events, one
-//	                            frame per ?interval= tick until done
+//	GET  /v1/jobs/{id}/stream   job status over Server-Sent Events: one
+//	                            status frame per ?interval= tick while
+//	                            the job runs, and a done frame the moment
+//	                            it ends (the stream ends with the job)
 //	POST /v1/solve              flat spec.Document → SolveResponse;
 //	                            redundancy documents (or ?backend=bayes)
 //	                            → BackendSolveResponse via the selected

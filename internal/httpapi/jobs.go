@@ -176,8 +176,10 @@ func (a *jobAPI) handleJobGet(w http.ResponseWriter, r *http.Request) {
 
 // handleJobStream follows one job over Server-Sent Events: an immediate
 // status frame, one per ?interval= tick while the job runs (carrying
-// tracker progress), and a final "done" frame with the result. Reuses
-// the metrics-stream pacing and write-deadline machinery.
+// tracker progress), and a final "done" frame with the result, sent the
+// moment the job ends rather than at the next tick. The handler holds
+// the job record, so a job GC'd mid-stream still gets its done frame.
+// Reuses the metrics-stream pacing and write-deadline machinery.
 func (a *jobAPI) handleJobStream(w http.ResponseWriter, r *http.Request) {
 	id, err := jobID(r)
 	if err != nil {
@@ -189,7 +191,8 @@ func (a *jobAPI) handleJobStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if _, ok := a.engine.Status(id); !ok {
+	done, status, ok := a.engine.Watch(id)
+	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("job %d not found", id))
 		return
 	}
@@ -211,11 +214,7 @@ func (a *jobAPI) handleJobStream(w http.ResponseWriter, r *http.Request) {
 	defer ticker.Stop()
 	for {
 		extendDeadline()
-		st, ok := a.engine.Status(id)
-		if !ok {
-			// GC'd mid-stream (tiny retention): nothing left to follow.
-			return
-		}
+		st := status()
 		if st.State == jobs.StateDone || st.State == jobs.StateFailed {
 			_ = writeSSEEvent(w, "done", st)
 			fl.Flush()
@@ -226,9 +225,12 @@ func (a *jobAPI) handleJobStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		fl.Flush()
+		// The job's end wakes the wait at once; the next pass then reads
+		// the final status, which the engine sets before closing done.
 		select {
 		case <-r.Context().Done():
 			return
+		case <-done:
 		case <-ticker.C:
 		}
 	}

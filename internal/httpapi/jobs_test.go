@@ -431,6 +431,169 @@ func TestJobStreamFollowsToCompletion(t *testing.T) {
 	}
 }
 
+// blockedTask returns a task that runs until release closes (or the
+// engine closes) and records no progress, so its final status snapshot
+// does not depend on when it is taken.
+func blockedTask(hash string, release <-chan struct{}) jobs.Task {
+	return jobs.Task{
+		Kind: "stream-test", Hash: hash,
+		Run: func(ctx context.Context, _ *progress.Tracker) (json.RawMessage, error) {
+			select {
+			case <-release:
+				return json.RawMessage(`{"answer":42}`), nil
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		},
+	}
+}
+
+// openJobStream follows one job over SSE. The request carries a 30 s
+// deadline so a stream that never ends fails the test instead of hanging
+// it.
+func openJobStream(t *testing.T, srv *httptest.Server, id int64, interval string) *bufio.Reader {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	t.Cleanup(cancel)
+	url := fmt.Sprintf("%s/v1/jobs/%d/stream?interval=%s", srv.URL, id, interval)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { resp.Body.Close() })
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stream status = %d, want 200", resp.StatusCode)
+	}
+	return bufio.NewReader(resp.Body)
+}
+
+// TestJobStreamEndsWhenJobEnds: on a one-minute interval, a job that
+// finishes after the first frame delivers its done frame at once, with no
+// status frame in between, and the frame's data is exactly the JSON of
+// the job's final status.
+func TestJobStreamEndsWhenJobEnds(t *testing.T) {
+	srv, eng := newJobServer(t, jobs.Config{Workers: 1})
+	release := make(chan struct{})
+	st, err := eng.Submit(blockedTask("ends", release))
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	br := openJobStream(t, srv, st.ID, "1m")
+	if event, _ := readSSEEvent(t, br); event != "status" {
+		t.Fatalf("first event = %q, want status", event)
+	}
+
+	start := time.Now()
+	close(release)
+	event, data := readSSEEvent(t, br)
+	if lag := time.Since(start); lag > 2*time.Second {
+		t.Fatalf("done frame arrived %v after the job ended", lag)
+	}
+	if event != "done" {
+		t.Fatalf("event after the job ended = %q, want done", event)
+	}
+	final, err := eng.Wait(context.Background(), st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(final)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, want) {
+		t.Fatalf("done frame data differs from the final status:\nframe: %s\nwant:  %s", data, want)
+	}
+	if final.State != jobs.StateDone || string(final.Result) != `{"answer":42}` {
+		t.Fatalf("final status = %+v", final)
+	}
+}
+
+// TestJobStreamPacesStatusFrames: a job that keeps running gets status
+// frames once per ?interval, not faster.
+func TestJobStreamPacesStatusFrames(t *testing.T) {
+	srv, eng := newJobServer(t, jobs.Config{Workers: 1})
+	release := make(chan struct{})
+	st, err := eng.Submit(blockedTask("paced", release))
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	const interval, frames = 100 * time.Millisecond, 4
+	br := openJobStream(t, srv, st.ID, interval.String())
+	var first time.Time
+	for i := 0; i < frames; i++ {
+		event, data := readSSEEvent(t, br)
+		if event != "status" {
+			t.Fatalf("frame %d = %q, want status", i, event)
+		}
+		var frame jobs.Status
+		if err := json.Unmarshal(data, &frame); err != nil || len(frame.Result) != 0 {
+			t.Fatalf("frame %d = %s (%v), want a status without result", i, data, err)
+		}
+		if i == 0 {
+			first = time.Now()
+		}
+	}
+	// Frame k follows the k-th tick of a ticker started before frame 0,
+	// so frames-1 ticks separate the first and last frame, less the time
+	// frame 0 took to arrive.
+	if elapsed, min := time.Since(first), (frames-1)*interval-interval/2; elapsed < min {
+		t.Fatalf("%d status frames in %v, want them paced at %v (≥ %v)", frames, elapsed, interval, min)
+	}
+	close(release)
+	for {
+		event, _ := readSSEEvent(t, br)
+		if event == "done" {
+			break
+		}
+		if event != "status" {
+			t.Fatalf("event = %q, want status or done", event)
+		}
+	}
+}
+
+// TestJobStreamClosedEngineFailsQueuedJob: a queued job that Close fails
+// ends its stream with a failed done frame without waiting for a tick.
+func TestJobStreamClosedEngineFailsQueuedJob(t *testing.T) {
+	srv, eng := newJobServer(t, jobs.Config{Workers: 1})
+	never := make(chan struct{})
+	running, err := eng.Submit(blockedTask("running", never))
+	if err != nil {
+		t.Fatalf("submit running: %v", err)
+	}
+	queued, err := eng.Submit(blockedTask("queued", never))
+	if err != nil {
+		t.Fatalf("submit queued: %v", err)
+	}
+	// Wait for the worker to take the first job, so the second stays
+	// queued until Close.
+	for st, _ := eng.Status(running.ID); st.State != jobs.StateRunning; st, _ = eng.Status(running.ID) {
+		time.Sleep(time.Millisecond)
+	}
+	br := openJobStream(t, srv, queued.ID, "1m")
+	event, data := readSSEEvent(t, br)
+	var frame jobs.Status
+	if err := json.Unmarshal(data, &frame); err != nil || event != "status" || frame.State != jobs.StateQueued {
+		t.Fatalf("first frame = %s %s (%v), want a queued status", event, data, err)
+	}
+
+	start := time.Now()
+	eng.Close()
+	event, data = readSSEEvent(t, br)
+	if lag := time.Since(start); lag > 2*time.Second {
+		t.Fatalf("failed frame arrived %v after Close", lag)
+	}
+	if err := json.Unmarshal(data, &frame); err != nil || event != "done" {
+		t.Fatalf("frame after Close = %s %s (%v), want done", event, data, err)
+	}
+	if frame.State != jobs.StateFailed || frame.Error != jobs.ErrClosed.Error() {
+		t.Fatalf("frame after Close = %+v, want failed with %q", frame, jobs.ErrClosed)
+	}
+}
+
 // TestJobsVisibleInRuns: executed jobs register on the server run
 // registry, so GET /v1/runs shows them alongside synchronous work.
 func TestJobsVisibleInRuns(t *testing.T) {

@@ -40,6 +40,13 @@ const (
 	maxUncertaintySamples = 20000
 	maxCampaignInjections = 200000
 	maxCampaignReplicas   = 64
+
+	// maxUncertaintyInstances keeps every uncertainty sample on the
+	// compiled plan's dense path: an 18-instance AS chain has 1,141
+	// states, a 19-instance one 1,331, past ctmc's dense threshold, and
+	// each such sample falls back to a multi-second cold solve.
+	// TestUncertaintyInstanceCapIsDenseThreshold derives it.
+	maxUncertaintyInstances = 18
 )
 
 // intField is one integer request field with its inclusive bounds.
@@ -375,7 +382,7 @@ func defaultUncertaintyRequest() uncertaintyRequest {
 
 func (r *uncertaintyRequest) fields() []intField {
 	return []intField{
-		{"instances", &r.Instances, 1, maxInstances},
+		{"instances", &r.Instances, 1, maxUncertaintyInstances},
 		{"pairs", &r.Pairs, 0, maxPairs},
 		{"samples", &r.Samples, 1, maxUncertaintySamples},
 	}

@@ -522,18 +522,32 @@ func (e *Engine) Statuses() []Status {
 	return out
 }
 
-// Wait blocks until the identified job finishes (or ctx ends) and
-// returns its final status.
-func (e *Engine) Wait(ctx context.Context, id int64) (Status, error) {
+// Watch returns the identified job's done channel, closed the moment
+// the job finishes (already closed for a cache hit), and a status reader
+// bound to the job record itself. The reader keeps answering after the
+// record is GC'd from Status, so a follower that holds it always sees the
+// final state and result. A finished job's status is final: once done is
+// closed, status reports done or failed.
+func (e *Engine) Watch(id int64) (done <-chan struct{}, status func() Status, ok bool) {
 	e.mu.Lock()
 	j := e.byID[id]
 	e.mu.Unlock()
 	if j == nil {
+		return nil, nil, false
+	}
+	return j.done, func() Status { return j.status(true) }, true
+}
+
+// Wait blocks until the identified job finishes (or ctx ends) and
+// returns its final status.
+func (e *Engine) Wait(ctx context.Context, id int64) (Status, error) {
+	done, status, ok := e.Watch(id)
+	if !ok {
 		return Status{}, ErrNotFound
 	}
 	select {
-	case <-j.done:
-		return j.status(true), nil
+	case <-done:
+		return status(), nil
 	case <-ctx.Done():
 		return Status{}, ctx.Err()
 	}

@@ -264,6 +264,121 @@ func TestFinishedRecordsGCByCountAndTTL(t *testing.T) {
 	}
 }
 
+// TestWatchOutlivesRecordGC: a watcher holds the job record, so it still
+// reads the final status and result after KeepDone has evicted the record
+// from Status, and its done channel is the one Wait blocks on.
+func TestWatchOutlivesRecordGC(t *testing.T) {
+	e := New(Config{Workers: 1, KeepDone: 1})
+	defer e.Close()
+	release := make(chan struct{})
+	st, err := e.Submit(Task{
+		Kind: "test",
+		Hash: "watched",
+		Run: func(context.Context, *progress.Tracker) (json.RawMessage, error) {
+			<-release
+			return json.RawMessage(`{"answer":42}`), nil
+		},
+	})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	done, status, ok := e.Watch(st.ID)
+	if !ok {
+		t.Fatalf("Watch(%d) found no job", st.ID)
+	}
+	select {
+	case <-done:
+		t.Fatal("done closed before the job ran")
+	default:
+	}
+	if got := status().State; got != StateQueued && got != StateRunning {
+		t.Fatalf("watched state before release = %s", got)
+	}
+	close(release)
+	<-done
+	final := waitDone(t, e, st.ID)
+
+	// KeepDone=1: the next finished job evicts the watched record.
+	waitDone(t, e, mustSubmit(t, e, constTask("evictor", `1`, nil)).ID)
+	if _, ok := e.Status(st.ID); ok {
+		t.Fatalf("job %d retained past KeepDone", st.ID)
+	}
+	if _, _, ok := e.Watch(st.ID); ok {
+		t.Fatalf("Watch(%d) found an evicted job", st.ID)
+	}
+	got := status()
+	if got.State != StateDone || string(got.Result) != `{"answer":42}` {
+		t.Fatalf("watched status after GC = %+v, want done with the result", got)
+	}
+	if got.EndedAt != final.EndedAt {
+		t.Fatalf("watched EndedAt = %q, Wait saw %q", got.EndedAt, final.EndedAt)
+	}
+}
+
+// TestWatchCacheHitIsDone: a cache hit is born done, so its watch channel
+// is already closed.
+func TestWatchCacheHitIsDone(t *testing.T) {
+	e := New(Config{Workers: 1})
+	defer e.Close()
+	waitDone(t, e, mustSubmit(t, e, constTask("h", `7`, nil)).ID)
+	hit := mustSubmit(t, e, constTask("h", `7`, nil))
+	if !hit.Cached {
+		t.Fatal("resubmission missed the cache")
+	}
+	done, status, ok := e.Watch(hit.ID)
+	if !ok {
+		t.Fatalf("Watch(%d) found no job", hit.ID)
+	}
+	select {
+	case <-done:
+	default:
+		t.Fatal("cache hit's done channel is open")
+	}
+	if st := status(); st.State != StateDone || string(st.Result) != `7` {
+		t.Fatalf("cache hit status = %+v", st)
+	}
+}
+
+// TestWatchSeesQueuedJobFailedByClose: a job still queued at Close closes
+// its watch channel with a failed, ErrClosed status.
+func TestWatchSeesQueuedJobFailedByClose(t *testing.T) {
+	e := New(Config{Workers: 1})
+	started := make(chan struct{})
+	mustSubmit(t, e, Task{
+		Kind: "blocker",
+		Hash: "blocker",
+		Run: func(ctx context.Context, _ *progress.Tracker) (json.RawMessage, error) {
+			close(started)
+			<-ctx.Done()
+			return nil, ctx.Err()
+		},
+	})
+	<-started
+	queued := mustSubmit(t, e, constTask("queued", `1`, nil))
+	done, status, ok := e.Watch(queued.ID)
+	if !ok {
+		t.Fatalf("Watch(%d) found no job", queued.ID)
+	}
+	e.Close()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("done channel of a job failed by Close stayed open")
+	}
+	if st := status(); st.State != StateFailed || st.Error != ErrClosed.Error() {
+		t.Fatalf("queued job after Close = %+v", st)
+	}
+}
+
+func mustSubmit(t *testing.T, e *Engine, task Task) Status {
+	t.Helper()
+	st, err := e.Submit(task)
+	if err != nil {
+		t.Fatalf("submit %s: %v", task.Hash, err)
+	}
+	return st
+}
+
 func TestCloseFailsQueuedJobsAndRejectsSubmits(t *testing.T) {
 	e := New(Config{Workers: 1, QueueDepth: 2})
 	started := make(chan struct{})

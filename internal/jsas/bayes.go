@@ -80,7 +80,7 @@ func BayesModel(cfg Config, p Params) (*bayes.Network, error) {
 
 // solvePooled solves a submodel with a pooled solve context.
 func solvePooled(s *reward.Structure) (*reward.Result, error) {
-	sv := solverPool.Get().(*ctmc.Solver)
+	sv := pooledSolver()
 	defer solverPool.Put(sv)
 	return s.Solve(ctmc.SolveOptions{Solver: sv})
 }

@@ -115,3 +115,38 @@ func TestConcurrentSolvesWithPerWorkerSolvers(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPooledSolverStartsCold: a Solver borrowed from the pool carries no
+// warm-start cache from its last borrower, so an iteratively solved chain
+// (the AS cluster past the dense threshold, ≥ 19 instances) gets the same
+// bits from Solve whatever the pool solved before.
+func TestPooledSolverStartsCold(t *testing.T) {
+	st, err := BuildHADBPair(DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs := ctmc.SolveOptions{Method: ctmc.MethodGaussSeidel}
+	s := pooledSolver()
+	want, err := s.SteadyState(st.Model(), gs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solverPool.Put(s)
+	for i := 0; i < 3; i++ {
+		s := pooledSolver()
+		var d ctmc.Diagnostics
+		got, err := s.SteadyState(st.Model(), ctmc.SolveOptions{Method: ctmc.MethodGaussSeidel, Diag: &d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		solverPool.Put(s)
+		if d.WarmStart {
+			t.Fatalf("borrow %d: pooled Solver warm-started from an earlier borrower's π", i)
+		}
+		for j := range want {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("borrow %d: π[%d] = %v, first borrow gave %v", i, j, got[j], want[j])
+			}
+		}
+	}
+}

@@ -9,11 +9,18 @@ package avail
 // work, not a stub.
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/httpapi"
 	"repro/internal/jobs"
 	"repro/internal/progress"
 )
@@ -171,5 +178,58 @@ func BenchmarkJobCacheCoalesced(b *testing.B) {
 	}
 	if st, _ := eng.Status(first.ID); st.Coalesced != int64(b.N) {
 		b.Fatalf("coalesced = %d, want %d", st.Coalesced, b.N)
+	}
+}
+
+// BenchmarkJobStreamFollow times following a fresh job over
+// GET /v1/jobs/{id}/stream?interval=10ms: submit a trivial task, open the
+// stream, let the task finish once the first status frame is in, and stop
+// at the done frame. The job ends between ticks, so this is the follow
+// layer's latency: the stream's reaction to the job's end, not the work.
+func BenchmarkJobStreamFollow(b *testing.B) {
+	eng := jobs.New(jobs.Config{Workers: 1, KeepDone: 16})
+	defer eng.Close()
+	srv := httptest.NewServer(httpapi.NewHandler(httpapi.Options{Jobs: eng}))
+	defer srv.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		release := make(chan struct{})
+		st, err := eng.Submit(jobs.Task{
+			Kind: "follow",
+			Hash: "follow-" + strconv.Itoa(i),
+			Run: func(context.Context, *progress.Tracker) (json.RawMessage, error) {
+				<-release
+				return json.RawMessage(`1`), nil
+			},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		resp, err := http.Get(fmt.Sprintf("%s/v1/jobs/%d/stream?interval=10ms", srv.URL, st.ID))
+		if err != nil {
+			b.Fatal(err)
+		}
+		br := bufio.NewReader(resp.Body)
+		if ev := nextEvent(b, br); ev != "status" {
+			b.Fatalf("first event = %q, want status", ev)
+		}
+		close(release)
+		for nextEvent(b, br) != "done" {
+		}
+		resp.Body.Close()
+	}
+}
+
+// nextEvent reads SSE lines up to the next event name.
+func nextEvent(tb testing.TB, br *bufio.Reader) string {
+	tb.Helper()
+	for {
+		line, err := br.ReadString('\n')
+		if err != nil {
+			tb.Fatalf("read job stream: %v", err)
+		}
+		if ev, ok := strings.CutPrefix(strings.TrimRight(line, "\n"), "event: "); ok {
+			return ev
+		}
 	}
 }

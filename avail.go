@@ -70,9 +70,10 @@ type (
 	// (method used, sweeps, residual, dense fallback, wall time); point
 	// SolveOptions.Diag at one to collect it.
 	SolveDiagnostics = ctmc.Diagnostics
-	// Solver is a reusable solve context (scratch storage + warm-start
-	// cache) for repeated solves. Not safe for concurrent use: keep one
-	// per goroutine. Set SolveOptions.Solver to thread it through solves.
+	// Solver is a reusable solve context (scratch storage only: it never
+	// changes a result) for repeated solves. Not safe for concurrent use:
+	// keep one per goroutine. Set SolveOptions.Solver to thread it
+	// through solves.
 	Solver = ctmc.Solver
 )
 

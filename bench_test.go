@@ -445,26 +445,6 @@ func BenchmarkSteadyStateGS200(b *testing.B)    { benchmarkSteadyState(b, 200, c
 func BenchmarkSteadyStateGS400(b *testing.B)    { benchmarkSteadyState(b, 400, ctmc.MethodGaussSeidel) }
 func BenchmarkSteadyStatePower200(b *testing.B) { benchmarkSteadyState(b, 200, ctmc.MethodPower) }
 
-// BenchmarkSteadyStateGSWarm200 measures the repeated-solve fast path: the
-// same chain solved through one Solver, so every iteration after the first
-// reuses the cached generator/transpose, the iteration workspace, and a
-// warm start from the previous π (compare with BenchmarkSteadyStateGS200,
-// which pays cold-start cost every iteration).
-func BenchmarkSteadyStateGSWarm200(b *testing.B) {
-	m := randomChain(b, 200)
-	s := ctmc.NewSolver()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.SteadyState(m, ctmc.SolveOptions{Method: ctmc.MethodGaussSeidel, Tol: 1e-10}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	st := s.Stats()
-	if st.Solves > 1 {
-		b.ReportMetric(float64(st.WarmSweeps)/float64(st.Solves-1), "warm-sweeps/solve")
-	}
-}
-
 // --- Ablation: hierarchical abstraction vs flat product model ---
 
 func BenchmarkHierarchyConfig1(b *testing.B) {

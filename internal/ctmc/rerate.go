@@ -135,9 +135,6 @@ func (r *Rerater) SolveDense(s *Solver, pi []float64) error {
 		obsSolveErrors.Inc()
 		return err
 	}
-	if s != nil {
-		s.stats.Solves++
-	}
 	obsLastStates.Set(float64(n))
 	obsLastResidual.Set(0)
 	obsSolvesTotal(MethodDense).Inc()

@@ -79,8 +79,9 @@ type SolveOptions struct {
 	Tol     float64
 	MaxIter int
 	// Solver, if non-nil, supplies the reusable solve context — scratch
-	// vectors, dense assembly/factorization storage, and the warm-start
-	// cache — for repeated solves (sweeps, Monte-Carlo, hierarchies).
+	// vectors and dense assembly/factorization storage — for repeated
+	// solves (sweeps, Monte-Carlo, hierarchies). It never changes the
+	// result: a reused Solver gives the same bits as a fresh one.
 	// A Solver is not safe for concurrent use: share one per worker, not
 	// per run. A nil Solver allocates per solve (the one-shot path).
 	Solver *Solver
@@ -112,9 +113,6 @@ type Diagnostics struct {
 	// dense solver (including after a dense fallback): the dense path is
 	// direct, so no iterative residual describes the returned vector.
 	Residual float64
-	// WarmStart reports whether the iterative solve was seeded from a
-	// previously computed stationary distribution (see Solver).
-	WarmStart bool
 	// DenseFallback marks that Gauss–Seidel failed to converge and
 	// MethodAuto retried with the dense LU solver.
 	DenseFallback bool
@@ -131,9 +129,6 @@ func (d Diagnostics) String() string {
 	if d.Residual > 0 {
 		s += fmt.Sprintf(" residual=%.3g", d.Residual)
 	}
-	if d.WarmStart {
-		s += " warm-start=true"
-	}
 	if d.DenseFallback {
 		s += " dense-fallback=true"
 	}
@@ -148,7 +143,6 @@ var (
 	obsSolveErrors   = obs.C("ctmc_solve_errors_total", "steady-state solves that returned an error")
 	obsLastStates    = obs.G("ctmc_last_solve_states", "state count of the most recent solve")
 	obsLastResidual  = obs.G("ctmc_last_solve_residual", "verified residual ‖πQ‖∞ of the most recent solve (0 after a dense solve)")
-	obsWarmStarts    = obs.C("ctmc_warm_start_solves_total", "iterative solves seeded from a cached stationary distribution")
 	obsCancellations = obs.C("solver_cancellations_total",
 		"engine runs aborted by context cancellation", `layer="ctmc"`)
 )
@@ -231,7 +225,6 @@ func (m *Model) SteadyState(opts SolveOptions) ([]float64, error) {
 			Iterations:    iter.Sweeps,
 			FinalDiff:     iter.FinalDiff,
 			Residual:      residual,
-			WarmStart:     iter.WarmStart,
 			DenseFallback: fellBack,
 			Wall:          wall,
 		}
@@ -239,9 +232,6 @@ func (m *Model) SteadyState(opts SolveOptions) ([]float64, error) {
 	obsLastStates.Set(float64(m.NumStates()))
 	if iter.Sweeps > 0 {
 		obsSolveIters.Observe(float64(iter.Sweeps))
-	}
-	if iter.WarmStart {
-		obsWarmStarts.Inc()
 	}
 	obsLastResidual.Set(residual)
 	if err != nil {
@@ -251,7 +241,6 @@ func (m *Model) SteadyState(opts SolveOptions) ([]float64, error) {
 		}
 		return pi, err
 	}
-	opts.Solver.noteSolve(m, pi, method, iter)
 	obsSolvesTotal(method).Inc()
 	return pi, nil
 }
@@ -277,7 +266,6 @@ func (m *Model) steadyStateBy(method Method, opts SolveOptions, iter *sparse.Ite
 			Stats:      iter,
 			Transposed: qt,
 			Workspace:  s.workspace(),
-			X0:         s.warmStart(m),
 		})
 		if err != nil {
 			return nil, fmt.Errorf("steady state: %w", err)
@@ -294,7 +282,6 @@ func (m *Model) steadyStateBy(method Method, opts SolveOptions, iter *sparse.Ite
 			MaxIter:   opts.MaxIter,
 			Stats:     iter,
 			Workspace: s.workspace(),
-			X0:        s.warmStart(m),
 		})
 		if err != nil {
 			return nil, fmt.Errorf("steady state: %w", err)

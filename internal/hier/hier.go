@@ -109,7 +109,7 @@ func (e *Evaluation) Find(name string) *Evaluation {
 type Options struct {
 	// Solve is threaded to every submodel solve. When Solve.Solver is nil,
 	// Evaluate installs a fresh ctmc.Solver for the duration of the call so
-	// the submodels of one hierarchy share scratch storage and warm starts.
+	// the submodels of one hierarchy share scratch storage.
 	// Callers evaluating one hierarchy at many parameter points (sweeps,
 	// Monte-Carlo sampling) should declare it as Nodes and Compile it:
 	// a Plan re-rates chains built once instead of building them per call.

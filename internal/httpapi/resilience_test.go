@@ -61,7 +61,7 @@ func TestBoundedParams(t *testing.T) {
 		{"instances=3&pairs=2&spares=1", http.StatusOK, ""},
 		{"instances=0", http.StatusBadRequest, "instances"},
 		{"instances=-1", http.StatusBadRequest, "instances"},
-		{fmt.Sprintf("instances=%d", maxInstances+1), http.StatusBadRequest, "instances"},
+		{fmt.Sprintf("instances=%d", maxDenseInstances+1), http.StatusBadRequest, "instances"},
 		{"pairs=-1", http.StatusBadRequest, "pairs"},
 		{fmt.Sprintf("pairs=%d", maxPairs+1), http.StatusBadRequest, "pairs"},
 		{"spares=-1", http.StatusBadRequest, "spares"},
@@ -83,7 +83,7 @@ func TestBoundedParams(t *testing.T) {
 		query      string
 		wantInBody string
 	}{
-		{fmt.Sprintf("instances=%d", maxInstances+1), "instances"},
+		{fmt.Sprintf("instances=%d", maxDenseInstances+1), "instances"},
 		{fmt.Sprintf("pairs=%d", maxPairs+1), "pairs"},
 		{"samples=0", "samples"},
 		{fmt.Sprintf("samples=%d", maxUncertaintySamples+1), "samples"},

@@ -80,7 +80,7 @@ func BayesModel(cfg Config, p Params) (*bayes.Network, error) {
 
 // solvePooled solves a submodel with a pooled solve context.
 func solvePooled(s *reward.Structure) (*reward.Result, error) {
-	sv := pooledSolver()
+	sv := solverPool.Get().(*ctmc.Solver)
 	defer solverPool.Put(sv)
 	return s.Solve(ctmc.SolveOptions{Solver: sv})
 }
@@ -103,12 +103,9 @@ func SolveBackend(ctx context.Context, cfg Config, p Params, kind backend.Kind) 
 		// Size: states across the hierarchy (AS submodel + 6-state pair
 		// model when present + 3-state top diagram, 4 with a beta-factor
 		// common-cause state).
-		size := 3
+		size := 3 + len(res.ASSubmodel.Pi)
 		if p.Beta > 0 {
 			size++
-		}
-		if as, err := BuildAppServer(p, cfg.ASInstances); err == nil {
-			size += as.Model().NumStates()
 		}
 		if cfg.HADBPairs > 0 {
 			size += 6

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/ctmc"
+	"repro/internal/hier"
 	"repro/internal/reward"
 )
 
@@ -84,9 +85,10 @@ func SolveDualCluster(cfg Config, p Params, upgrade UpgradePolicy) (*DualCluster
 	// Upgrades are coordinated (never simultaneous), which we model
 	// conservatively as independent upgrade windows — coordination only
 	// helps.
-	prod, err := productOfTwo(cluster)
+	prod, err := hier.Product([]*reward.Structure{cluster, cluster},
+		func(u []bool) bool { return u[0] || u[1] })
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("dual cluster: %w", err)
 	}
 	dual, err := prod.Solve(ctmc.SolveOptions{})
 	if err != nil {
@@ -119,47 +121,6 @@ func clusterWithUpgrades(laEq, muEq float64, upgrade UpgradePolicy) (*reward.Str
 	s, err := reward.Binary(m, downNames...)
 	if err != nil {
 		return nil, fmt.Errorf("cluster with upgrades: %w", err)
-	}
-	return s, nil
-}
-
-// productOfTwo composes two independent copies of a cluster; the composite
-// is up when at least one copy is up.
-func productOfTwo(cluster *reward.Structure) (*reward.Structure, error) {
-	m := cluster.Model()
-	n := m.NumStates()
-	b := ctmc.NewBuilder()
-	idx := func(i, j int) ctmc.State {
-		return ctmc.State(i*n + j)
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			b.State(m.Name(ctmc.State(i)) + "|" + m.Name(ctmc.State(j)))
-		}
-	}
-	for _, tr := range m.Transitions() {
-		for other := 0; other < n; other++ {
-			// First copy moves.
-			b.Transition(idx(int(tr.From), other), idx(int(tr.To), other), tr.Rate)
-			// Second copy moves.
-			b.Transition(idx(other, int(tr.From)), idx(other, int(tr.To)), tr.Rate)
-		}
-	}
-	model, err := b.Build()
-	if err != nil {
-		return nil, fmt.Errorf("dual product: %w", err)
-	}
-	rates := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if cluster.Rate(ctmc.State(i)) > 0 || cluster.Rate(ctmc.State(j)) > 0 {
-				rates[i*n+j] = 1
-			}
-		}
-	}
-	s, err := reward.New(model, rates)
-	if err != nil {
-		return nil, fmt.Errorf("dual product: %w", err)
 	}
 	return s, nil
 }

@@ -228,19 +228,9 @@ func (ps *planSolver) solve(p Params) (availability, downtimeMinutes float64, er
 // are tiny but solved in bulk (tables, server requests, the points a
 // planSolver falls back on), so reusing the dense scratch removes most
 // per-solve allocation. Each borrowed Solver is used by one goroutine at a
-// time, which is exactly the contract ctmc.Solver requires. Borrow through
-// pooledSolver, never solverPool.Get.
+// time, which is exactly the contract ctmc.Solver requires; it holds
+// scratch only, so a borrower's results never depend on earlier borrowers.
 var solverPool = sync.Pool{New: func() any { return ctmc.NewSolver() }}
-
-// pooledSolver borrows a solve context with an empty warm-start cache, so
-// a chain solved iteratively (an AS cluster past the dense threshold,
-// ≥ 19 instances) starts cold and its bits do not depend on what the
-// pooled Solver solved before. Return it with solverPool.Put.
-func pooledSolver() *ctmc.Solver {
-	s := solverPool.Get().(*ctmc.Solver)
-	s.ForgetWarmStarts()
-	return s
-}
 
 // Solve evaluates the full hierarchy for a configuration and returns the
 // system-level measures, building every chain afresh. It draws a pooled
@@ -248,7 +238,7 @@ func pooledSolver() *ctmc.Solver {
 // Analyses that solve one configuration at many parameter points go
 // through UncertaintySolver or SweepSolver, which compile it once.
 func Solve(cfg Config, p Params) (*SystemResult, error) {
-	s := pooledSolver()
+	s := solverPool.Get().(*ctmc.Solver)
 	defer solverPool.Put(s)
 	return SolveWith(cfg, p, s)
 }

@@ -360,6 +360,30 @@ func TestRegistryLifecycle(t *testing.T) {
 	}
 }
 
+// TestFinishedRunStatusIsStable: a finished run's status is frozen at
+// Finish, so reads at different times return the same rate and ETA
+// instead of a rate that keeps decaying after the work ended.
+func TestFinishedRunStatusIsStable(t *testing.T) {
+	clock := newFakeClock()
+	reg := NewRegistry(0)
+	reg.SetClock(clock.Now)
+	run := reg.Begin("uncertainty", "", 3)
+	for i := 0; i < 3; i++ {
+		clock.Advance(20 * time.Millisecond)
+		run.Tracker().Done()
+	}
+	run.Finish(nil)
+	first := run.Status()
+	clock.Advance(500 * time.Millisecond)
+	second := run.Status()
+	if first != second {
+		t.Fatalf("finished status changed between reads:\n%+v\n%+v", first, second)
+	}
+	if first.Rate <= 0 || first.Completed != 3 {
+		t.Fatalf("finished status = %+v, want 3 completed at a positive rate", first)
+	}
+}
+
 func TestRegistryEvictsOldestFinished(t *testing.T) {
 	reg := NewRegistry(2)
 	var finished []*Run

@@ -22,12 +22,16 @@ type Run struct {
 	finished bool
 	ended    time.Time
 	err      string
+	final    Snapshot // the tracker's state at Finish, served from then on
 }
 
 // Tracker returns the run's tracker for driver wiring (never nil).
 func (r *Run) Tracker() *Tracker { return r.tracker }
 
-// Finish marks the run complete. err may be nil; the first call wins.
+// Finish marks the run complete and freezes its progress: a finished
+// run's Status no longer reads the tracker, whose smoothed rate would
+// otherwise keep decaying between reads. err may be nil; the first call
+// wins.
 func (r *Run) Finish(err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -36,6 +40,7 @@ func (r *Run) Finish(err error) {
 	}
 	r.finished = true
 	r.ended = r.tracker.clock()
+	r.final = r.tracker.Snapshot()
 	if err != nil {
 		r.err = err.Error()
 	}
@@ -62,9 +67,14 @@ type RunStatus struct {
 	StatN     int64   `json:"statN,omitempty"`
 }
 
-// Status snapshots the run.
+// Status snapshots the run; once finished it is the same on every read.
 func (r *Run) Status() RunStatus {
-	snap := r.tracker.Snapshot()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	snap := r.final
+	if !r.finished {
+		snap = r.tracker.Snapshot()
+	}
 	st := RunStatus{
 		ID:        r.ID,
 		Kind:      r.Kind,
@@ -83,7 +93,6 @@ func (r *Run) Status() RunStatus {
 	if snap.ETAKnown {
 		st.ETASec = snap.ETA.Seconds()
 	}
-	r.mu.Lock()
 	if r.finished {
 		st.EndedAt = r.ended.UTC().Format(time.RFC3339Nano)
 		if r.err != "" {
@@ -95,7 +104,6 @@ func (r *Run) Status() RunStatus {
 	} else {
 		st.State = "running"
 	}
-	r.mu.Unlock()
 	return st
 }
 

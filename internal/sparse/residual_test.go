@@ -2,7 +2,6 @@ package sparse
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -64,69 +63,6 @@ func TestAcceptedSolveHasSmallResidual(t *testing.T) {
 		}
 		if st.Residual <= 0 || st.Residual > 1e-8*maxExit {
 			t.Fatalf("%s: residual = %g, want in (0, %g]", m, st.Residual, 1e-8*maxExit)
-		}
-	}
-}
-
-// TestWarmStartConvergesFasterToSameAnswer seeds a second solve with the
-// first solve's result and checks it (a) is flagged as warm, (b) needs
-// strictly fewer sweeps, and (c) lands on the same distribution.
-func TestWarmStartConvergesFasterToSameAnswer(t *testing.T) {
-	t.Parallel()
-	q, exact := stiffChain(t)
-	var cold IterStats
-	pi, err := SteadyStateGaussSeidel(q, SteadyStateOptions{Tol: 1e-12, Stats: &cold})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.WarmStart {
-		t.Fatalf("cold solve flagged as warm: %+v", cold)
-	}
-	var warm IterStats
-	pi2, err := SteadyStateGaussSeidel(q, SteadyStateOptions{Tol: 1e-12, Stats: &warm, X0: pi})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !warm.WarmStart {
-		t.Fatalf("warm solve not flagged: %+v", warm)
-	}
-	if warm.Sweeps >= cold.Sweeps {
-		t.Fatalf("warm start took %d sweeps, cold took %d — expected fewer", warm.Sweeps, cold.Sweeps)
-	}
-	for i := range pi2 {
-		if d := math.Abs(pi2[i] - exact[i]); d > 1e-8 {
-			t.Fatalf("warm pi[%d] = %g, exact %g (|Δ| = %g)", i, pi2[i], exact[i], d)
-		}
-	}
-}
-
-// TestWarmStartRejectsUnusableSeeds feeds each category of bad X0 and
-// checks the solver falls back to the cold uniform start (and still
-// converges to the right answer).
-func TestWarmStartRejectsUnusableSeeds(t *testing.T) {
-	t.Parallel()
-	q, exact := stiffChain(t)
-	n := q.Rows()
-	bad := map[string][]float64{
-		"wrong-length": make([]float64, n+1),
-		"nan":          {math.NaN(), 1, 1, 1, 1},
-		"inf":          {math.Inf(1), 1, 1, 1, 1},
-		"zero-mass":    make([]float64, n),
-		"negative":     {-1, -1, -1, -1, -1},
-	}
-	for name, x0 := range bad {
-		var st IterStats
-		pi, err := SteadyStateGaussSeidel(q, SteadyStateOptions{Tol: 1e-12, Stats: &st, X0: x0})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if st.WarmStart {
-			t.Fatalf("%s: unusable seed flagged as warm start", name)
-		}
-		for i := range pi {
-			if d := math.Abs(pi[i] - exact[i]); d > 1e-8 {
-				t.Fatalf("%s: pi[%d] off by %g", name, i, d)
-			}
 		}
 	}
 }

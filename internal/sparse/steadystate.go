@@ -61,11 +61,6 @@ type SteadyStateOptions struct {
 	// Relax is the SOR relaxation factor for Gauss–Seidel (1 = plain GS).
 	// Defaults to 1.
 	Relax float64
-	// X0, if non-nil, seeds the iteration with a warm start (a normalized
-	// copy is taken; the slice is not modified). An unusable seed — wrong
-	// length, non-finite, or non-positive mass — silently falls back to
-	// the uniform cold start. Stats.WarmStart records what happened.
-	X0 []float64
 	// Transposed, if non-nil, must be the transpose of the generator
 	// passed to the solver; Gauss–Seidel then skips computing its own.
 	// Callers solving one chain repeatedly (sweeps, Monte-Carlo) cache it
@@ -91,9 +86,6 @@ type IterStats struct {
 	// verified against ResidualTol·Λ before a solve is accepted. It is
 	// recorded on success and on ErrNoConvergence exhaustion.
 	Residual float64
-	// WarmStart reports whether the iteration was seeded from
-	// SteadyStateOptions.X0 (false when no usable seed was supplied).
-	WarmStart bool
 }
 
 func (o SteadyStateOptions) withDefaults() SteadyStateOptions {
@@ -110,35 +102,6 @@ func (o SteadyStateOptions) withDefaults() SteadyStateOptions {
 		o.Relax = 1
 	}
 	return o
-}
-
-// seedIterate fills pi with a normalized copy of x0 if usable (matching
-// length, finite, positive mass after clamping round-off negatives) and
-// reports whether it did; otherwise pi is left untouched.
-func seedIterate(pi, x0 []float64) bool {
-	if len(x0) != len(pi) {
-		return false
-	}
-	var sum float64
-	for _, v := range x0 {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-		if v > 0 {
-			sum += v
-		}
-	}
-	if sum <= 0 {
-		return false
-	}
-	inv := 1 / sum
-	for i, v := range x0 {
-		if v < 0 {
-			v = 0
-		}
-		pi[i] = v * inv
-	}
-	return true
 }
 
 // uniformIterate fills pi with the uniform distribution.
@@ -208,12 +171,9 @@ func SteadyStatePower(q *CSR, opts SteadyStateOptions) ([]float64, error) {
 	}
 	lambda := maxExit * 1.05
 	pi, next, scratch := ws.pi, ws.next, ws.scratch
-	warm := seedIterate(pi, o.X0)
-	if !warm {
-		uniformIterate(pi)
-	}
+	uniformIterate(pi)
 	if o.Stats != nil {
-		*o.Stats = IterStats{WarmStart: warm}
+		*o.Stats = IterStats{}
 	}
 	if err := checkCtx(o.Ctx, 0); err != nil {
 		return nil, err
@@ -306,12 +266,9 @@ func SteadyStateGaussSeidel(q *CSR, opts SteadyStateOptions) ([]float64, error) 
 		}
 	}
 	pi, prev, scratch := ws.pi, ws.prev, ws.scratch
-	warm := seedIterate(pi, o.X0)
-	if !warm {
-		uniformIterate(pi)
-	}
+	uniformIterate(pi)
 	if o.Stats != nil {
-		*o.Stats = IterStats{WarmStart: warm}
+		*o.Stats = IterStats{}
 	}
 	if err := checkCtx(o.Ctx, 0); err != nil {
 		return nil, err

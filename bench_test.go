@@ -391,7 +391,7 @@ func benchmarkLongevitySeries(b *testing.B, parallelism int) {
 func BenchmarkLongevitySeriesSerial(b *testing.B)    { benchmarkLongevitySeries(b, 1) }
 func BenchmarkLongevitySeriesParallel4(b *testing.B) { benchmarkLongevitySeries(b, 4) }
 
-// --- Ablation: dense LU vs iterative steady-state solvers ---
+// --- Ablation: dense (GTH) vs iterative steady-state solvers ---
 
 func randomChain(b *testing.B, n int) *ctmc.Model {
 	b.Helper()
@@ -440,6 +440,25 @@ func benchmarkSteadyState(b *testing.B, n int, method ctmc.Method) {
 func BenchmarkSteadyStateDense50(b *testing.B)  { benchmarkSteadyState(b, 50, ctmc.MethodDense) }
 func BenchmarkSteadyStateDense200(b *testing.B) { benchmarkSteadyState(b, 200, ctmc.MethodDense) }
 func BenchmarkSteadyStateDense400(b *testing.B) { benchmarkSteadyState(b, 400, ctmc.MethodDense) }
+
+// BenchmarkSteadyStateASChain solves the 10-instance AS cluster chain
+// (221 states) densely through a reused Solver, as the compiled plan
+// does. Unlike the random ring chains above it has the paper models'
+// level structure: failures climb one level, repairs step back.
+func BenchmarkSteadyStateASChain(b *testing.B) {
+	s, err := jsas.BuildAppServer(DefaultParams(), 10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	solver := ctmc.NewSolver()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := solver.SteadyState(s.Model(), ctmc.SolveOptions{Method: ctmc.MethodDense}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkSteadyStateGS50(b *testing.B)     { benchmarkSteadyState(b, 50, ctmc.MethodGaussSeidel) }
 func BenchmarkSteadyStateGS200(b *testing.B)    { benchmarkSteadyState(b, 200, ctmc.MethodGaussSeidel) }
 func BenchmarkSteadyStateGS400(b *testing.B)    { benchmarkSteadyState(b, 400, ctmc.MethodGaussSeidel) }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"sort"
 
 	"repro/internal/spec"
 	"repro/internal/uncertainty"
@@ -59,7 +60,13 @@ func main() {
 	fmt.Printf("\nuncertainty (%d samples): mean %.2f min/yr, 80%% CI (%.2f, %.2f)\n",
 		res.Summary.N, res.Summary.Mean, ci.Low, ci.High)
 	fmt.Println("variance drivers:")
-	for name, rho := range res.Correlations() {
-		fmt.Printf("  %-16s %+.3f\n", name, rho)
+	corr := res.Correlations()
+	names := make([]string, 0, len(corr))
+	for name := range corr {
+		names = append(names, name)
+	}
+	sort.Strings(names) // map order would shuffle the output run to run
+	for _, name := range names {
+		fmt.Printf("  %-16s %+.3f\n", name, corr[name])
 	}
 }

@@ -116,13 +116,12 @@ func (r *Rerater) Matched() bool {
 func (r *Rerater) Transitions() []Transition { return r.transitions }
 
 // SolveDense computes the stationary distribution of a matched emission
-// into pi (one entry per state) by the dense LU method, through s's
-// scratch storage. It is the dense path of SteadyState — the same
-// assembly, factorization and normalization, so the same bits — for
-// callers that re-rate a chain per evaluation: it counts the solve in
-// ctmc_solves_total and the last-solve gauges, but records no span and no
-// latency sample, and allocates nothing once s has solved a chain this
-// size.
+// into pi (one entry per state) by the dense method, through s's scratch
+// storage. It is the dense path of SteadyState — the same GTH reduction
+// and normalization, so the same bits — for callers that re-rate a chain
+// per evaluation: it counts the solve in ctmc_solves_total and the
+// last-solve gauges, but records no span and no latency sample, and
+// allocates nothing once s has solved a chain this size.
 func (r *Rerater) SolveDense(s *Solver, pi []float64) error {
 	n := len(r.tmpl.names)
 	if len(pi) != n {

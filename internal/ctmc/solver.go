@@ -1,13 +1,10 @@
 package ctmc
 
-import (
-	"repro/internal/numeric"
-	"repro/internal/sparse"
-)
+import "repro/internal/sparse"
 
 // Solver is a reusable steady-state solve context: scratch storage only.
 // It owns the iterative solvers' scratch vectors (via sparse.Workspace)
-// and the dense solver's assembly matrix and LU factorization storage.
+// and the dense solver's rate matrix and column-pattern storage.
 //
 // Sweeps, Monte-Carlo sampling, and hierarchical composition solve the
 // same chain topologies over and over; threading one Solver through those
@@ -21,12 +18,11 @@ import (
 type Solver struct {
 	ws sparse.Workspace
 
-	// Dense-path scratch: the assembled system A = Qᵀ with the last row
-	// replaced by ones, the rhs, the solution, and the factorization.
-	denseA *numeric.Matrix
-	denseB []float64
-	denseX []float64
-	lu     numeric.LU
+	// Dense-path scratch: the n×n off-diagonal rates, row-major, reduced
+	// in place by state reduction, and the nonzero columns of the row
+	// being eliminated.
+	dense []float64
+	cols  []int
 }
 
 // NewSolver returns an empty solve context.
@@ -40,26 +36,22 @@ func (s *Solver) SteadyState(m *Model, opts SolveOptions) ([]float64, error) {
 }
 
 // denseScratch returns the Solver-owned (or, for a nil Solver, freshly
-// allocated) dense assembly buffers sized for an n-state chain.
-func (s *Solver) denseScratch(n int) (a *numeric.Matrix, b, x []float64, lu *numeric.LU) {
+// allocated) dense buffers for an n-state chain: a zeroed n×n matrix and
+// an empty column list with capacity n.
+func (s *Solver) denseScratch(n int) (q []float64, cols []int) {
 	if s == nil {
-		return numeric.NewMatrix(n, n), make([]float64, n), make([]float64, n), &numeric.LU{}
+		return make([]float64, n*n), make([]int, 0, n)
 	}
-	if s.denseA == nil {
-		s.denseA = numeric.NewMatrix(n, n)
+	if cap(s.dense) < n*n {
+		s.dense = make([]float64, n*n)
 	} else {
-		s.denseA.Reshape(n, n)
+		s.dense = s.dense[:n*n]
+		clear(s.dense)
 	}
-	if cap(s.denseB) < n {
-		s.denseB = make([]float64, n)
-		s.denseX = make([]float64, n)
+	if cap(s.cols) < n {
+		s.cols = make([]int, 0, n)
 	}
-	s.denseB = s.denseB[:n]
-	for i := range s.denseB {
-		s.denseB[i] = 0
-	}
-	s.denseX = s.denseX[:n]
-	return s.denseA, s.denseB, s.denseX, &s.lu
+	return s.dense, s.cols[:0]
 }
 
 // workspace returns the sparse iteration workspace (nil for a nil Solver,

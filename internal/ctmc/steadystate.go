@@ -17,10 +17,10 @@ type Method int
 
 // Available steady-state methods.
 const (
-	// MethodAuto picks dense LU for small chains and Gauss–Seidel above
-	// the dense threshold.
+	// MethodAuto picks the dense method for small chains and
+	// Gauss–Seidel above the dense threshold.
 	MethodAuto Method = iota + 1
-	// MethodDense solves the balance equations directly by LU.
+	// MethodDense solves the chain directly by GTH state reduction.
 	MethodDense
 	// MethodGaussSeidel iterates Gauss–Seidel sweeps on the sparse
 	// balance equations.
@@ -45,10 +45,12 @@ func (m Method) String() string {
 }
 
 // denseThreshold is the state-count crossover where MethodAuto switches
-// from dense LU (O(n³) but cache-friendly and exact) to iterative sweeps.
-// Availability chains are stiff (rates spanning 1e-7..1e4 per hour), which
-// slows iterative convergence, so the direct solver is preferred well past
-// the point where it would win on flop count alone.
+// from the dense GTH reduction (direct and entrywise accurate; at most
+// O(n³), far less on chains that stay sparse under elimination) to
+// iterative sweeps. Availability chains are stiff (rates spanning
+// 1e-7..1e4 per hour), which slows iterative convergence, so the direct
+// solver is preferred well past the point where it would win on flop
+// count alone.
 const denseThreshold = 1200
 
 // AutoMethod is the method MethodAuto picks for an n-state chain (before
@@ -71,16 +73,16 @@ type SolveOptions struct {
 	// the solve starts and every few sweeps inside the iterative solvers,
 	// so a stuck Gauss–Seidel loop aborts promptly with an error wrapping
 	// context.Canceled (or DeadlineExceeded) — distinct from
-	// sparse.ErrNoConvergence. The dense LU path is not interruptible
-	// mid-factorization; it only checks the context up front (dense
-	// chains are small by construction, see denseThreshold).
+	// sparse.ErrNoConvergence. The dense path is not interruptible
+	// mid-reduction; it only checks the context up front (dense chains
+	// are small by construction, see denseThreshold).
 	Ctx context.Context
 	// Tol/MaxIter are forwarded to the iterative solvers.
 	Tol     float64
 	MaxIter int
 	// Solver, if non-nil, supplies the reusable solve context — scratch
-	// vectors and dense assembly/factorization storage — for repeated
-	// solves (sweeps, Monte-Carlo, hierarchies). It never changes the
+	// vectors and the dense reduction's storage — for repeated solves
+	// (sweeps, Monte-Carlo, hierarchies). It never changes the
 	// result: a reused Solver gives the same bits as a fresh one.
 	// A Solver is not safe for concurrent use: share one per worker, not
 	// per run. A nil Solver allocates per solve (the one-shot path).
@@ -114,7 +116,7 @@ type Diagnostics struct {
 	// direct, so no iterative residual describes the returned vector.
 	Residual float64
 	// DenseFallback marks that Gauss–Seidel failed to converge and
-	// MethodAuto retried with the dense LU solver.
+	// MethodAuto retried with the dense solver.
 	DenseFallback bool
 	// Wall is the total solve wall time, including any fallback.
 	Wall time.Duration
@@ -139,7 +141,7 @@ func (d Diagnostics) String() string {
 var (
 	obsSolveSeconds  = obs.H("ctmc_solve_seconds", "steady-state solve wall time", obs.DurationBuckets)
 	obsSolveIters    = obs.H("ctmc_solve_iterations", "iterative solver sweeps per solve", obs.IterationBuckets)
-	obsDenseFallback = obs.C("ctmc_dense_fallback_total", "iterative solves that fell back to dense LU")
+	obsDenseFallback = obs.C("ctmc_dense_fallback_total", "iterative solves that fell back to the dense solver")
 	obsSolveErrors   = obs.C("ctmc_solve_errors_total", "steady-state solves that returned an error")
 	obsLastStates    = obs.G("ctmc_last_solve_states", "state count of the most recent solve")
 	obsLastResidual  = obs.G("ctmc_last_solve_residual", "verified residual ‖πQ‖∞ of the most recent solve (0 after a dense solve)")
@@ -301,37 +303,64 @@ func (m *Model) steadyStateDense(s *Solver) ([]float64, error) {
 	return pi, nil
 }
 
-// solveDense solves Qᵀπᵀ = 0 for the n-state chain with the given merged
-// transitions, with the normalization Σπ = 1 replacing the last
-// (redundant) balance equation, into pi. A non-nil Solver supplies the
-// assembly and factorization storage so repeated solves allocate nothing.
+// solveDense computes the stationary distribution of the n-state chain
+// with the given merged transitions into pi by GTH (Grassmann–Taksar–
+// Heyman) state reduction. States are eliminated from the last to the
+// first: eliminating state k reroutes every path through k, adding
+// q_ik·q_kj/s_k to q_ij for i, j < k, where s_k = Σ_{j<k} q_kj is k's
+// total rate to the states still present. Back-substitution then gives
+// π_k = Σ_{i<k} π_i·q_ik / s_k from π_0 = 1, and a final normalization.
+//
+// The reduction only adds, multiplies and divides non-negative numbers —
+// it never subtracts — so π ≥ 0 and every entry, however tiny, carries
+// full relative precision; no pivoting is needed. It skips zeros: each step reads row k's nonzero
+// pattern once and updates only the rows with q_ik ≠ 0, so a chain whose
+// generator stays sparse under elimination costs far less than n³/3. A
+// zero s_k means the chain is reducible. A non-nil Solver supplies the
+// rate matrix and pattern storage, so repeated solves allocate nothing.
 func solveDense(s *Solver, n int, transitions []Transition, pi []float64) error {
-	a, b, x, lu := s.denseScratch(n)
-	// Assemble A = Qᵀ directly from the transition list — no intermediate
-	// dense Q. Entries landing on row n−1 are overwritten below when that
-	// (redundant) balance row becomes the normalization row.
+	q, cols := s.denseScratch(n)
 	for _, tr := range transitions {
-		a.Add(int(tr.To), int(tr.From), tr.Rate)
-		a.Add(int(tr.From), int(tr.From), -tr.Rate)
+		q[int(tr.From)*n+int(tr.To)] += tr.Rate
 	}
-	for j := 0; j < n; j++ {
-		a.Set(n-1, j, 1)
-	}
-	b[n-1] = 1
-	if err := lu.FactorFrom(a); err != nil {
-		if errors.Is(err, numeric.ErrSingular) {
-			return fmt.Errorf("balance equations singular: %w", ErrNotIrreducible)
+	for k := n - 1; k > 0; k-- {
+		rowK := q[k*n : k*n+k]
+		cols = cols[:0]
+		var sum float64
+		for j, v := range rowK {
+			if v != 0 {
+				cols = append(cols, j)
+				sum += v
+			}
 		}
-		return fmt.Errorf("steady state: %w", err)
+		if sum == 0 {
+			return fmt.Errorf("state %d cannot reach the states before it: %w", k, ErrNotIrreducible)
+		}
+		// The diagonal is never read as a rate: it keeps s_k for the
+		// back-substitution.
+		q[k*n+k] = sum
+		for i := 0; i < k; i++ {
+			f := q[i*n+k]
+			if f == 0 {
+				continue
+			}
+			f /= sum
+			rowI := q[i*n : i*n+k]
+			for _, j := range cols {
+				rowI[j] += f * rowK[j]
+			}
+		}
 	}
-	if err := lu.SolveInto(x, b); err != nil {
-		return fmt.Errorf("steady state: %w", err)
-	}
-	copy(pi, x)
-	// Round-off can leave tiny negatives on near-degenerate chains.
-	for i := range pi {
-		if pi[i] < 0 && pi[i] > -1e-12 {
-			pi[i] = 0
+	// π_k accumulates π_i·q_ik row by row, so the reads run along rows.
+	clear(pi)
+	pi[0] = 1
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			pi[i] /= q[i*n+i]
+		}
+		p := pi[i]
+		for k, v := range q[i*n+i+1 : i*n+n] {
+			pi[i+1+k] += p * v
 		}
 	}
 	numeric.Normalize(pi)

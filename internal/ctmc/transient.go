@@ -149,22 +149,26 @@ func (m *Model) IntervalAvailability(p0 []float64, t float64, reward []float64) 
 		return 0, err
 	}
 	lt := lambda * t
+	logLT := math.Log(lt)
 	truncation := int(lt + 10*math.Sqrt(lt+1) + 40)
 	cur := make([]float64, n)
 	copy(cur, p0)
 	next := make([]float64, n)
 	scratch := make([]float64, n)
-	logW := -lt
-	cdf := 0.0
-	var integral float64 // Σ tail_k · (v_k·r), in units of 1/Λ
+	// Both sums run over ~Λt terms of order one, so plain float64 sums
+	// lose ~Λt ulps — at a 20-year horizon as much as the transient
+	// excess being measured. They are compensated, and each Poisson
+	// weight is computed directly rather than by a recurrence.
+	var cdf neumaier
+	var integral neumaier // Σ tail_k · (v_k·r), in units of 1/Λ
 	for k := 0; k <= truncation; k++ {
-		w := math.Exp(logW)
-		cdf += w
-		tail := 1 - cdf
+		lgk, _ := math.Lgamma(float64(k + 1))
+		cdf.add(math.Exp(float64(k)*logLT - lt - lgk))
+		tail := (1 - cdf.sum) - cdf.c
 		if tail < 0 {
 			tail = 0
 		}
-		integral += tail * instantReward(cur, reward)
+		integral.add(tail * instantReward(cur, reward))
 		if tail == 0 && float64(k) > lt {
 			break
 		}
@@ -180,10 +184,25 @@ func (m *Model) IntervalAvailability(p0 []float64, t float64, reward []float64) 
 			next[i] = v
 		}
 		cur, next = next, cur
-		logW += math.Log(lt) - math.Log(float64(k+1))
 	}
-	return integral / lt, nil
+	return integral.value() / lt, nil
 }
+
+// neumaier is a compensated (Kahan–Babuška–Neumaier) running sum: sum
+// plus the accumulated rounding error c.
+type neumaier struct{ sum, c float64 }
+
+func (s *neumaier) add(x float64) {
+	t := s.sum + x
+	if math.Abs(s.sum) >= math.Abs(x) {
+		s.c += (s.sum - t) + x
+	} else {
+		s.c += (x - t) + s.sum
+	}
+	s.sum = t
+}
+
+func (s *neumaier) value() float64 { return s.sum + s.c }
 
 func instantReward(p, reward []float64) float64 {
 	var s float64

@@ -94,8 +94,14 @@ func TestCompiledMatchesSolve(t *testing.T) {
 			p: with(func(p *Params) { p.Beta = 0.05; p.ASFailuresPerYear = 20 })},
 		{name: "Table 3 row 1", cfg: Table3Configs()[0], base: def,
 			p: with(func(p *Params) { p.ASRestartLong = 2 * time.Hour })},
+		// Only AS failures far below any real rate underflow a wide
+		// cluster's All_Down probability, and with it La_appl.
 		{name: "wide cluster: La_appl underflows", cfg: Config{ASInstances: 12, HADBPairs: 6, HADBSpares: 2},
-			base: def, p: def, fallback: "JSAS"},
+			base: def, p: with(func(p *Params) {
+				p.ASFailuresPerYear, p.ASOSFailuresPerYear, p.ASHWFailuresPerYear = 1e-30, 1e-30, 1e-30
+			}),
+			fallback: "JSAS"},
+		{name: "wide cluster", cfg: Config{ASInstances: 12, HADBPairs: 6, HADBSpares: 2}, base: def, p: def},
 		{name: "negative rate", cfg: Config1, base: def,
 			p: with(func(p *Params) { p.HADBHWFailuresPerYear = -1 }), wantErr: true},
 		{name: "bad configuration", cfg: Config{}, base: def, p: def, wantErr: true},

@@ -45,15 +45,25 @@ func TestIntervalAvailabilityConvergesToSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	long, err := IntervalAvailability(Config1, p, 20*365*24*time.Hour)
-	if err != nil {
-		t.Fatalf("IntervalAvailability(20y): %v", err)
+	gap := func(years int) float64 {
+		res, err := IntervalAvailability(Config1, p, time.Duration(years)*365*24*time.Hour)
+		if err != nil {
+			t.Fatalf("IntervalAvailability(%dy): %v", years, err)
+		}
+		return res.IntervalAvailability - steady.Availability
 	}
-	// Over 20 years the transient excess shrinks well below the
-	// unavailability scale itself.
-	gap := long.IntervalAvailability - steady.Availability
-	if gap < 0 || gap > (1-steady.Availability)/2 {
-		t.Errorf("IA(20y) − steady = %.3g, want small positive", gap)
+	// Starting from Ok, the transient excess ∫(A(s) − A∞)ds converges, so
+	// IA(T) − A∞ decays as 1/T once T is many mean repair times long: a
+	// 20-year gap is a tenth of the 2-year one. At ~2.5e-11 it is as small
+	// as the round-off that plain sums over the uniformization series'
+	// ~Λt terms would leave, so this also checks that those sums stay
+	// accurate.
+	gap2, gap20 := gap(2), gap(20)
+	if gap20 <= 0 || gap20 > (1-steady.Availability)/2 {
+		t.Errorf("IA(20y) − steady = %.3g, want small positive", gap20)
+	}
+	if r := 10 * gap20 / gap2; math.Abs(r-1) > 0.1 {
+		t.Errorf("10·gap(20y)/gap(2y) = %.4f (gaps %.4g, %.4g), want within 10%% of 1", r, gap20, gap2)
 	}
 }
 

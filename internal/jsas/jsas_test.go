@@ -3,6 +3,7 @@ package jsas
 import (
 	"errors"
 	"math"
+	"math/big"
 	"testing"
 	"time"
 
@@ -580,22 +581,54 @@ func TestSweepTstartLong(t *testing.T) {
 	}
 }
 
-// TestVeryWideClusterSolvable: for ≥ 12 instances the AS submodel's
-// equivalent failure rate underflows to zero; the top-level model must
-// omit the unreachable AS_Fail branch instead of failing as reducible.
+// TestVeryWideClusterSolvable: a wide cluster's All_Down probability is
+// tiny (~6e-20 at 12 instances) but not zero, so the top model keeps its
+// AS_Fail branch and the AS downtime share agrees with a 256-bit
+// reference. Only when the AS equivalent failure rate really underflows
+// to zero (here, AS failures at 1e-30 per year) must the top model omit
+// the unreachable AS_Fail branch instead of failing as reducible.
 func TestVeryWideClusterSolvable(t *testing.T) {
 	t.Parallel()
-	for _, n := range []int{12, 16} {
-		res, err := Solve(Config{ASInstances: n, HADBPairs: n / 2, HADBSpares: 2}, DefaultParams())
+	solve := func(n int, p Params) *SystemResult {
+		t.Helper()
+		res, err := Solve(Config{ASInstances: n, HADBPairs: n / 2, HADBSpares: 2}, p)
 		if err != nil {
 			t.Fatalf("Solve(%d instances): %v", n, err)
-		}
-		if res.DowntimeASMinutes != 0 {
-			t.Errorf("n=%d: AS downtime = %v, want 0 (underflow)", n, res.DowntimeASMinutes)
 		}
 		if res.DowntimeHADBMinutes <= 0 {
 			t.Errorf("n=%d: HADB downtime = %v, want > 0", n, res.DowntimeHADBMinutes)
 		}
+		return res
+	}
+	if res := solve(16, DefaultParams()); res.DowntimeASMinutes <= 0 {
+		t.Errorf("n=16: AS downtime = %v, want > 0", res.DowntimeASMinutes)
+	}
+
+	// AS_Fail's top-level occupancy is π_Ok·λ_eq/μ_eq, and λ_eq/μ_eq is
+	// the AS submodel's P(down)/P(up).
+	res := solve(12, DefaultParams())
+	as, err := BuildAppServer(DefaultParams(), 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refDown, _ := referenceMeasures(as)
+	ratio := new(big.Float).Sub(big.NewFloat(1), refDown)
+	ratio.Quo(refDown, ratio)
+	r, _ := ratio.Float64()
+	want := res.System.Pi[0] * r * reward.MinutesPerYear
+	if rel := math.Abs(res.DowntimeASMinutes-want) / want; rel > 1e-12 {
+		t.Errorf("n=12: AS downtime = %.17g, reference %.17g (relative error %.3g)", res.DowntimeASMinutes, want, rel)
+	}
+
+	tiny := DefaultParams()
+	tiny.ASFailuresPerYear, tiny.ASOSFailuresPerYear, tiny.ASHWFailuresPerYear = 1e-30, 1e-30, 1e-30
+	res = solve(12, tiny)
+	if res.DowntimeASMinutes != 0 || res.ASSubmodel.LambdaEq != 0 {
+		t.Errorf("AS failures at 1e-30/yr: AS downtime = %v, λ_eq = %v, want 0 (underflow)",
+			res.DowntimeASMinutes, res.ASSubmodel.LambdaEq)
+	}
+	if len(res.System.Pi) != 2 {
+		t.Errorf("AS failures at 1e-30/yr: top model has %d states, want 2 (Ok, HADB_Fail)", len(res.System.Pi))
 	}
 }
 

@@ -114,8 +114,10 @@ func emitTopModel(sk ctmc.Sink, cfg Config, p *Params, bound []float64) {
 	// mode scales from.
 	totalInd := 0.0
 	// A submodel whose equivalent failure rate underflows to zero (e.g. a
-	// very wide AS cluster) contributes no failure state: adding one would
-	// leave it unreachable and the chain reducible.
+	// wide AS cluster with failure rates far below any real one, whose
+	// All_Down probability is below the smallest float64) contributes no
+	// failure state: adding one would leave it unreachable and the chain
+	// reducible.
 	if laAppl > 0 && muAppl > 0 {
 		asFail := sk.State(SystemStateASFail)
 		sk.Transition(okState, asFail, laAppl)
@@ -149,8 +151,8 @@ func emitTopModel(sk ctmc.Sink, cfg Config, p *Params, bound []float64) {
 // Figures 5–8 analyses — through its hierarchy compiled once at base
 // parameters (hier.Compile): the same hierarchy as Components, declared
 // with the chains' emitters. A point whose chain does not match its
-// template (FIR = 0 drops Ok→2_Down, a wide cluster's La_appl underflows
-// and AS_Fail disappears, Beta > 0 over a Beta = 0 template adds CC_Fail)
+// template (FIR = 0 drops Ok→2_Down, an underflowed La_appl drops
+// AS_Fail, Beta > 0 over a Beta = 0 template adds CC_Fail)
 // is solved by Solve instead, so results and errors are always Solve's.
 // A planSolver is safe for concurrent use: each call borrows a pooled
 // workspace.

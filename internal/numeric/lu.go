@@ -17,38 +17,11 @@ type LU struct {
 // Factor computes the LU factorization of a (which is not modified).
 // A numerically singular matrix yields ErrSingular.
 func Factor(a *Matrix) (*LU, error) {
-	f := &LU{}
-	if err := f.FactorFrom(a); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// FactorFrom computes the LU factorization of a into f, reusing f's
-// existing storage when the capacity suffices. a is not modified. This is
-// the allocation-free path for repeated dense solves of same-sized
-// systems (sweeps, Monte-Carlo sampling): a zero LU works, and each call
-// overwrites the previous factorization.
-func (f *LU) FactorFrom(a *Matrix) error {
 	if a.Rows() != a.Cols() {
-		return fmt.Errorf("Factor: matrix is %dx%d, want square: %w", a.Rows(), a.Cols(), ErrShape)
+		return nil, fmt.Errorf("Factor: matrix is %dx%d, want square: %w", a.Rows(), a.Cols(), ErrShape)
 	}
 	n := a.Rows()
-	if f.lu == nil {
-		f.lu = NewMatrix(n, n)
-	} else {
-		f.lu.Reshape(n, n)
-	}
-	copy(f.lu.data, a.data)
-	if cap(f.pivot) < n {
-		f.pivot = make([]int, n)
-	}
-	f.pivot = f.pivot[:n]
-	f.sign = 1
-	if cap(f.scale) < n {
-		f.scale = make([]float64, n)
-	}
-	f.scale = f.scale[:n]
+	f := &LU{lu: a.Clone(), pivot: make([]int, n), scale: make([]float64, n), sign: 1}
 	lu := f.lu
 	for i := range f.pivot {
 		f.pivot[i] = i
@@ -64,7 +37,7 @@ func (f *LU) FactorFrom(a *Matrix) error {
 			}
 		}
 		if mx == 0 {
-			return fmt.Errorf("row %d is zero: %w", i, ErrSingular)
+			return nil, fmt.Errorf("row %d is zero: %w", i, ErrSingular)
 		}
 		scale[i] = 1 / mx
 	}
@@ -78,7 +51,7 @@ func (f *LU) FactorFrom(a *Matrix) error {
 			}
 		}
 		if p < 0 || lu.At(p, k) == 0 {
-			return fmt.Errorf("pivot %d: %w", k, ErrSingular)
+			return nil, fmt.Errorf("pivot %d: %w", k, ErrSingular)
 		}
 		if p != k {
 			rp, rk := lu.Row(p), lu.Row(k)
@@ -102,28 +75,16 @@ func (f *LU) FactorFrom(a *Matrix) error {
 			}
 		}
 	}
-	return nil
+	return f, nil
 }
 
 // Solve solves A·x = b for x. b is not modified.
 func (f *LU) Solve(b []float64) ([]float64, error) {
-	x := make([]float64, f.lu.Rows())
-	if err := f.SolveInto(x, b); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
-// SolveInto solves A·x = b into the caller-provided x (the allocation-free
-// companion of Solve). x and b must both have length n; they may not alias.
-func (f *LU) SolveInto(x, b []float64) error {
 	n := f.lu.Rows()
 	if len(b) != n {
-		return fmt.Errorf("Solve: rhs length %d, want %d: %w", len(b), n, ErrShape)
+		return nil, fmt.Errorf("Solve: rhs length %d, want %d: %w", len(b), n, ErrShape)
 	}
-	if len(x) != n {
-		return fmt.Errorf("Solve: solution length %d, want %d: %w", len(x), n, ErrShape)
-	}
+	x := make([]float64, n)
 	// Apply permutation.
 	for i, p := range f.pivot {
 		x[i] = b[p]
@@ -146,7 +107,7 @@ func (f *LU) SolveInto(x, b []float64) error {
 		}
 		x[i] = s / row[i]
 	}
-	return nil
+	return x, nil
 }
 
 // Det returns the determinant of the factored matrix.

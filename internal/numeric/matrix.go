@@ -1,6 +1,7 @@
-// Package numeric provides the dense linear-algebra kernel used by the
-// CTMC solvers: matrices, vectors, LU factorization with partial pivoting,
-// and the associated solve/refine routines.
+// Package numeric provides the dense linear-algebra kernel used by package
+// ctmc's absorption analysis: matrices, vectors, LU factorization with
+// partial pivoting, and the associated solve/refine routines. (Steady
+// states are solved by GTH state reduction in package ctmc itself.)
 //
 // The package is deliberately small and allocation-conscious rather than a
 // general BLAS: availability models are dense but tiny (tens to a few
@@ -79,25 +80,6 @@ func (m *Matrix) Add(i, j int, v float64) { m.data[i*m.cols+j] += v }
 
 // Row returns a view (not a copy) of row i.
 func (m *Matrix) Row(i int) []float64 { return m.data[i*m.cols : (i+1)*m.cols] }
-
-// Reshape resizes m to rows×cols and zeroes every element, reusing the
-// existing storage when its capacity suffices. It is the reuse path for
-// workspaces that assemble a same-shaped system repeatedly.
-func (m *Matrix) Reshape(rows, cols int) {
-	if rows < 0 || cols < 0 {
-		rows, cols = 0, 0
-	}
-	n := rows * cols
-	if cap(m.data) < n {
-		m.data = make([]float64, n)
-	} else {
-		m.data = m.data[:n]
-		for i := range m.data {
-			m.data[i] = 0
-		}
-	}
-	m.rows, m.cols = rows, cols
-}
 
 // Clone returns a deep copy.
 func (m *Matrix) Clone() *Matrix {

@@ -1,7 +1,7 @@
 // Package sparse provides compressed sparse row (CSR) matrices and the
 // iterative steady-state solvers (power iteration on the uniformized chain,
 // Gauss–Seidel/SOR on the balance equations) used for CTMCs too large for
-// the dense LU path.
+// the dense path.
 package sparse
 
 import (

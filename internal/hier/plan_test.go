@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/ctmc"
@@ -57,25 +58,28 @@ func pairPlan(t *testing.T, base leafRates) *Plan[leafRates] {
 	return pl
 }
 
+// emitted is a BuildFunc that builds a chain by emit, its bound rates
+// read from the environment names, in order.
+func emitted(p leafRates, emit func(ctmc.Sink, *leafRates, []float64), rewards func(*ctmc.Model) (*reward.Structure, error), names ...string) BuildFunc {
+	return func(env Params) (*reward.Structure, error) {
+		bound := make([]float64, len(names))
+		for i, n := range names {
+			bound[i] = env[n]
+		}
+		b := ctmc.NewBuilder()
+		emit(b, &p, bound)
+		m, err := b.Build()
+		if err != nil {
+			return nil, err
+		}
+		return rewards(m)
+	}
+}
+
 // pairComponents declares the same hierarchy for Evaluate.
 func pairComponents(p leafRates) *Component {
-	build := func(emit func(ctmc.Sink, *leafRates, []float64), rewards func(*ctmc.Model) (*reward.Structure, error), names ...string) BuildFunc {
-		return func(env Params) (*reward.Structure, error) {
-			bound := make([]float64, len(names))
-			for i, n := range names {
-				bound[i] = env[n]
-			}
-			b := ctmc.NewBuilder()
-			emit(b, &p, bound)
-			m, err := b.Build()
-			if err != nil {
-				return nil, err
-			}
-			return rewards(m)
-		}
-	}
-	leaf := NewComponent("leaf", build(emitLeaf, leafRewards))
-	root := NewComponent("pair", build(emitPair, okOnly, "L1", "M1", "L2", "M2"))
+	leaf := NewComponent("leaf", emitted(p, emitLeaf, leafRewards))
+	root := NewComponent("pair", emitted(p, emitPair, okOnly, "L1", "M1", "L2", "M2"))
 	return root.Use(leaf, "L1", "M1").Use(leaf, "L2", "M2")
 }
 
@@ -89,54 +93,49 @@ func bits(r *reward.Result) []uint64 {
 	return out
 }
 
+// TestPlanMatchesEvaluate: Eval equals Evaluate bit for bit at every
+// node, whether it re-rates the templates or, where the leaf's emission
+// drops the Up→Down edge and no longer matches, builds that node.
 func TestPlanMatchesEvaluate(t *testing.T) {
 	t.Parallel()
 	pl := pairPlan(t, leafRates{la: 1, mu: 1, direct: 1})
-	ws := pl.NewWorkspace()
-	for _, p := range []leafRates{{0.01, 2, 0.001}, {0.3, 0.7, 0.05}, {1e-4, 40, 3e-6}} {
+	ws := pl.NewWorkspace(nil)
+	for _, p := range []leafRates{{0.01, 2, 0.001}, {0.3, 0.7, 0.05}, {1e-4, 40, 3e-6}, {0.01, 2, 0}} {
 		ev, err := Evaluate(pairComponents(p), nil, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !pl.Eval(ws, p) {
-			t.Fatalf("%+v: plan fell back", p)
+		if err := pl.Eval(ws, p); err != nil {
+			t.Fatalf("%+v: %v", p, err)
 		}
-		want := []*reward.Result{ev.Children[0].Result, ev.Children[1].Result, ev.Result}
+		want := []*Evaluation{ev.Children[0], ev.Children[1], ev}
 		got := ws.Results()
 		if len(got) != len(want) {
 			t.Fatalf("%d results, want %d", len(got), len(want))
 		}
 		for i := range want {
-			if !reflect.DeepEqual(bits(&got[i]), bits(want[i])) {
-				t.Errorf("%+v: node %d = %+v, Evaluate %+v", p, i, got[i], *want[i])
+			if !reflect.DeepEqual(bits(&got[i]), bits(want[i].Result)) {
+				t.Errorf("%+v: node %d = %+v, Evaluate %+v", p, i, got[i], *want[i].Result)
+			}
+			if got, want := ws.Chain(i).NumTransitions(), want[i].Structure.Model().NumTransitions(); got != want {
+				t.Errorf("%+v: node %d solved a chain of %d transitions, Evaluate %d", p, i, got, want)
 			}
 		}
-	}
-	if fb := pl.Fallbacks(); len(fb) != 0 {
-		t.Errorf("fallbacks %v, want none", fb)
-	}
-	// Dropping the Up→Down edge changes the leaf's shape: the first
-	// evaluation step does not match and the plan falls back there.
-	if pl.Eval(ws, leafRates{0.01, 2, 0}) {
-		t.Error("plan matched a chain without its Up→Down edge")
-	}
-	if fb := pl.Fallbacks(); !reflect.DeepEqual(fb, map[string]int64{"leaf": 1}) {
-		t.Errorf("fallbacks %v, want leaf once", fb)
 	}
 }
 
 func TestPlanEvalAllocations(t *testing.T) {
 	pl := pairPlan(t, leafRates{la: 1, mu: 1, direct: 1})
-	ws := pl.NewWorkspace()
+	ws := pl.NewWorkspace(ctmc.NewSolver())
 	p := leafRates{0.01, 2, 0.001}
-	if n := testing.AllocsPerRun(100, func() { pl.Eval(ws, p) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { _ = pl.Eval(ws, p) }); n != 0 {
 		t.Errorf("Eval allocates %v times, want 0", n)
 	}
 }
 
-// TestPlanFallsBackWithoutTemplate: a node whose template cannot be
-// evaluated by the plan sends every evaluation to the fallback.
-func TestPlanFallsBackWithoutTemplate(t *testing.T) {
+// TestPlanBuildsNodeWithoutTemplate: a node the plan cannot re-rate is
+// built at every evaluation, with Evaluate's result or error.
+func TestPlanBuildsNodeWithoutTemplate(t *testing.T) {
 	t.Parallel()
 	ring := func(n int) func(ctmc.Sink, *leafRates, []float64) {
 		return func(sk ctmc.Sink, p *leafRates, _ []float64) {
@@ -148,28 +147,41 @@ func TestPlanFallsBackWithoutTemplate(t *testing.T) {
 			}
 		}
 	}
-	cases := map[string]func(ctmc.Sink, *leafRates, []float64){
-		// SteadyState would solve it by Gauss–Seidel.
-		"above the dense threshold": ring(1201),
-		"does not build": func(sk ctmc.Sink, p *leafRates, b []float64) {
+	// The errors each case must report, Evaluate's among them.
+	cases := map[string]struct {
+		emit    func(ctmc.Sink, *leafRates, []float64)
+		wantErr string
+	}{
+		// SteadyState solves it by Gauss–Seidel.
+		"above the dense threshold": {emit: ring(1201)},
+		"does not build": {emit: func(sk ctmc.Sink, p *leafRates, b []float64) {
 			emitLeaf(sk, p, b)
 			sk.Transition(0, 1, -p.la)
-		},
-		"reducible": func(sk ctmc.Sink, p *leafRates, _ []float64) {
+		}, wantErr: `build "does not build": `},
+		"reducible": {emit: func(sk ctmc.Sink, p *leafRates, _ []float64) {
 			a, b := sk.State("A"), sk.State("B")
 			sk.Transition(a, b, p.la)
-		},
+		}, wantErr: `solve "reducible": `},
 	}
-	for name, emit := range cases {
+	p := leafRates{la: 2}
+	for name, c := range cases {
+		emit := c.emit
 		pl, err := Compile(&Node[leafRates]{Name: name, Emit: emit, Rewards: okOnly}, leafRates{la: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if pl.Eval(pl.NewWorkspace(), leafRates{la: 2}) {
-			t.Errorf("%s: plan evaluated", name)
+		ev, werr := Evaluate(NewComponent(name, emitted(p, emit, okOnly)), nil, Options{})
+		ws := pl.NewWorkspace(nil)
+		gerr := pl.Eval(ws, p)
+		if c.wantErr != "" && (gerr == nil || !strings.HasPrefix(gerr.Error(), c.wantErr)) {
+			t.Errorf("%s: Eval error %v, want %s…", name, gerr, c.wantErr)
 		}
-		if fb := pl.Fallbacks(); fb[name] != 1 {
-			t.Errorf("%s: fallbacks %v", name, fb)
+		if (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
+			t.Errorf("%s: Eval error %v, Evaluate %v", name, gerr, werr)
+			continue
+		}
+		if werr == nil && !reflect.DeepEqual(bits(&ws.Results()[0]), bits(ev.Result)) {
+			t.Errorf("%s: Eval %+v, Evaluate %+v", name, ws.Results()[0], *ev.Result)
 		}
 	}
 }

@@ -100,15 +100,11 @@ func SolveBackend(ctx context.Context, cfg Config, p Params, kind backend.Kind) 
 		if err != nil {
 			return nil, err
 		}
-		// Size: states across the hierarchy (AS submodel + 6-state pair
-		// model when present + 3-state top diagram, 4 with a beta-factor
-		// common-cause state).
-		size := 3 + len(res.ASSubmodel.Pi)
-		if p.Beta > 0 {
-			size++
-		}
-		if cfg.HADBPairs > 0 {
-			size += 6
+		// Size: the states of the chains solved — the AS submodel, the
+		// pair model when present, and the top model.
+		size := len(res.ASSubmodel.Pi) + len(res.System.Pi)
+		if res.HADBSubmodel != nil {
+			size += len(res.HADBSubmodel.Pi)
 		}
 		return &backend.Result{
 			Backend:               backend.KindCTMC,

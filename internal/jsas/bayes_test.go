@@ -166,3 +166,31 @@ func TestSolveBackendValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestSolveBackendCTMCSize: the CTMC backend's Size is the state count of
+// the chains solved — the AS submodel, the pair model when there is
+// one, and the top model, which has no HADB_Fail state without pairs
+// and a CC_Fail state only when β > 0.
+func TestSolveBackendCTMCSize(t *testing.T) {
+	t.Parallel()
+	beta := DefaultParams()
+	beta.Beta = 0.1
+	for _, c := range []struct {
+		cfg  Config
+		p    Params
+		want int
+	}{
+		{Table3Configs()[0], DefaultParams(), 3 + 2},
+		{Config{ASInstances: 3}, DefaultParams(), 11 + 2},
+		{Config1, DefaultParams(), 5 + 6 + 3},
+		{Config1, beta, 5 + 6 + 4},
+	} {
+		res, err := SolveBackend(context.Background(), c.cfg, c.p, backend.KindCTMC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Size != c.want {
+			t.Errorf("%v β=%v: Size %d, want %d", c.cfg, c.p.Beta, res.Size, c.want)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package jsas
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -8,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ctmc"
+	"repro/internal/hier"
 	"repro/internal/obs"
 	"repro/internal/reward"
 	"repro/internal/uncertainty"
@@ -60,13 +63,44 @@ func randomParams(rng *rand.Rand) Params {
 	return p
 }
 
-// TestCompiledMatchesSolve is the differential test of the compiled
-// plan: for seeded random parameter sets and the edge cases where a
-// chain's shape changes, solving through a configuration's plan must
-// equal a fresh Solve bit for bit — every node's measures and π, and the
-// same error text — and exactly the expected chain must send the point
-// down the Solve fallback: a template that silently never matched would
-// fail here.
+// referenceSolve is Solve over the independent reference evaluator:
+// Components evaluated by hier.Evaluate, every chain built afresh.
+func referenceSolve(cfg Config, p Params) (*SystemResult, error) {
+	top, err := Components(cfg, p)
+	if err != nil {
+		return nil, err
+	}
+	ev, err := hier.Evaluate(top, nil, hier.Options{})
+	if err != nil {
+		return nil, fmt.Errorf("solve %v: %w", cfg, err)
+	}
+	res := &SystemResult{Config: cfg, Availability: ev.Result.Availability,
+		YearlyDowntimeMinutes: ev.Result.YearlyDowntimeMinutes, MTBFHours: ev.Result.MTBFHours,
+		ASSubmodel: ev.Children[0].Result, System: ev.Result}
+	if cfg.HADBPairs > 0 {
+		res.HADBSubmodel = ev.Children[1].Result
+	}
+	m := ev.Structure.Model()
+	for s := ctmc.State(0); int(s) < m.NumStates(); s++ {
+		minutes := ev.Result.Pi[s] * reward.MinutesPerYear
+		switch m.Name(s) {
+		case SystemStateASFail:
+			res.DowntimeASMinutes = minutes
+		case SystemStateHADBFail:
+			res.DowntimeHADBMinutes = minutes
+		case SystemStateCCFail:
+			res.DowntimeCommonCauseMinutes = minutes
+		}
+	}
+	return res, nil
+}
+
+// TestCompiledMatchesSolve is the differential test of the plan: for
+// seeded random parameter sets and the edge cases where a chain's shape
+// changes, a configuration's plan compiled at base and evaluated at p,
+// and one-shot Solve, must both equal the reference (Components under
+// hier.Evaluate) bit for bit — every node's measures and π, the cause
+// split, and the same error text.
 func TestCompiledMatchesSolve(t *testing.T) {
 	t.Parallel()
 	def := DefaultParams()
@@ -74,22 +108,20 @@ func TestCompiledMatchesSolve(t *testing.T) {
 	betaBase := with(func(p *Params) { p.Beta = 0.1 })
 
 	type tc struct {
-		name     string
-		cfg      Config
-		base, p  Params
-		fallback string // the chain the evaluation falls back at, if any
-		wantErr  bool
+		name    string
+		cfg     Config
+		base, p Params
+		wantErr bool
 	}
 	cases := []tc{
-		{name: "FIR = 0 drops Ok→2_Down", cfg: Config1, base: def,
-			p: with(func(p *Params) { p.FIR = 0 }), fallback: "HADB Node Pair"},
+		{name: "FIR = 0 drops Ok→2_Down", cfg: Config1, base: def, p: with(func(p *Params) { p.FIR = 0 })},
 		// FSS ∈ {0, 1} drops a recovery branch, leaving the chain
 		// reducible: both paths must report the same solve error.
 		{name: "FSS = 0 (no AS software failures)", cfg: Config2, base: def,
-			p: with(func(p *Params) { p.ASFailuresPerYear = 0 }), fallback: "Appl Server", wantErr: true},
+			p: with(func(p *Params) { p.ASFailuresPerYear = 0 }), wantErr: true},
 		{name: "FSS = 1 (no AS OS/HW failures)", cfg: Config1, base: def,
-			p: with(func(p *Params) { p.ASOSFailuresPerYear, p.ASHWFailuresPerYear = 0, 0 }), fallback: "Appl Server", wantErr: true},
-		{name: "Beta > 0 over a Beta = 0 template", cfg: Config1, base: def, p: betaBase, fallback: "JSAS"},
+			p: with(func(p *Params) { p.ASOSFailuresPerYear, p.ASHWFailuresPerYear = 0, 0 }), wantErr: true},
+		{name: "Beta > 0 over a Beta = 0 template", cfg: Config1, base: def, p: betaBase},
 		{name: "Beta > 0 template", cfg: Config2, base: betaBase,
 			p: with(func(p *Params) { p.Beta = 0.05; p.ASFailuresPerYear = 20 })},
 		{name: "Table 3 row 1", cfg: Table3Configs()[0], base: def,
@@ -99,8 +131,7 @@ func TestCompiledMatchesSolve(t *testing.T) {
 		{name: "wide cluster: La_appl underflows", cfg: Config{ASInstances: 12, HADBPairs: 6, HADBSpares: 2},
 			base: def, p: with(func(p *Params) {
 				p.ASFailuresPerYear, p.ASOSFailuresPerYear, p.ASHWFailuresPerYear = 1e-30, 1e-30, 1e-30
-			}),
-			fallback: "JSAS"},
+			})},
 		{name: "wide cluster", cfg: Config{ASInstances: 12, HADBPairs: 6, HADBSpares: 2}, base: def, p: def},
 		{name: "negative rate", cfg: Config1, base: def,
 			p: with(func(p *Params) { p.HADBHWFailuresPerYear = -1 }), wantErr: true},
@@ -113,44 +144,36 @@ func TestCompiledMatchesSolve(t *testing.T) {
 	}
 
 	for i, c := range cases {
+		want, werr := referenceSolve(c.cfg, c.p)
+		got, serr := Solve(c.cfg, c.p)
 		ps := newPlanSolver(c.cfg, c.base)
-		gotA, gotD, gerr := ps.solve(c.p)
-		want, werr := Solve(c.cfg, c.p)
-		if (gerr != nil) != c.wantErr || (werr != nil) != c.wantErr {
-			t.Fatalf("case %d (%s): plan err %v, fresh err %v, want error %v", i, c.name, gerr, werr, c.wantErr)
-		}
-		wantFallbacks := map[string]int64{}
-		if c.fallback != "" {
-			wantFallbacks[c.fallback] = 1
-		}
-		if ps.plan == nil {
-			if c.cfg.Validate() == nil {
-				t.Fatalf("case %d (%s): no plan for a valid configuration", i, c.name)
-			}
-		} else if got := ps.plan.Fallbacks(); !reflect.DeepEqual(got, wantFallbacks) {
-			t.Errorf("case %d (%s): fell back at %v, want %v", i, c.name, got, wantFallbacks)
+		planA, planD, perr := ps.solve(c.p)
+		if (werr != nil) != c.wantErr || (serr != nil) != c.wantErr || (perr != nil) != c.wantErr {
+			t.Fatalf("case %d (%s): reference err %v, Solve err %v, plan err %v, want error %v",
+				i, c.name, werr, serr, perr, c.wantErr)
 		}
 		if c.wantErr {
-			if gerr.Error() != werr.Error() {
-				t.Errorf("case %d (%s): plan error %q, fresh %q", i, c.name, gerr, werr)
+			if serr.Error() != werr.Error() || perr.Error() != werr.Error() {
+				t.Errorf("case %d (%s): Solve error %q, plan %q, reference %q", i, c.name, serr, perr, werr)
 			}
 			continue
 		}
-		if math.Float64bits(gotA) != math.Float64bits(want.Availability) ||
-			math.Float64bits(gotD) != math.Float64bits(want.YearlyDowntimeMinutes) {
-			t.Errorf("case %d (%s): plan availability/downtime %v/%v, Solve %v/%v",
-				i, c.name, gotA, gotD, want.Availability, want.YearlyDowntimeMinutes)
+		wantBits := resultBits(reflect.ValueOf(want), nil)
+		if !reflect.DeepEqual(resultBits(reflect.ValueOf(got), nil), wantBits) {
+			t.Errorf("case %d (%s): Solve differs from the reference:\n got %+v\nwant %+v", i, c.name, got, want)
 		}
-		if c.fallback != "" {
-			continue
+		if math.Float64bits(planA) != math.Float64bits(want.Availability) ||
+			math.Float64bits(planD) != math.Float64bits(want.YearlyDowntimeMinutes) {
+			t.Errorf("case %d (%s): plan availability/downtime %v/%v, reference %v/%v",
+				i, c.name, planA, planD, want.Availability, want.YearlyDowntimeMinutes)
 		}
 		// Every node's measures, not just the root's.
-		ws := ps.plan.NewWorkspace()
-		if !ps.plan.Eval(ws, c.p) {
-			t.Fatalf("case %d (%s): plan fell back on a second evaluation", i, c.name)
+		ws := ps.plan.NewWorkspace(nil)
+		if err := ps.plan.Eval(ws, c.p); err != nil {
+			t.Fatalf("case %d (%s): %v", i, c.name, err)
 		}
-		if got, want := nodeBits(ws.Results()), solveBits(want); !reflect.DeepEqual(got, want) {
-			t.Errorf("case %d (%s): plan node measures differ from Solve", i, c.name)
+		if !reflect.DeepEqual(nodeBits(ws.Results()), solveBits(want)) {
+			t.Errorf("case %d (%s): plan node measures differ from the reference", i, c.name)
 		}
 	}
 }
@@ -176,25 +199,27 @@ func solveBits(r *SystemResult) []uint64 {
 
 // TestPlanWorkspaceReuse evaluates A, then B, then A again on one
 // workspace: both A evaluations must give the same bits, whether B
-// succeeded or stopped part-way (FIR = 0 falls back at the HADB pair
-// after the AS chain was solved at B), so no state leaks between samples.
+// was re-rated throughout or had a node built (FIR = 0 builds the HADB
+// pair), so no state leaks between samples.
 func TestPlanWorkspaceReuse(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(18))
 	for _, cfg := range []Config{Config1, Config2} {
 		pl := newPlanSolver(cfg, DefaultParams()).plan
-		ws := pl.NewWorkspace()
+		ws := pl.NewWorkspace(nil)
 		firZero := randomParams(rng)
 		firZero.FIR = 0
 		for _, b := range []Params{randomParams(rng), firZero} {
 			a := randomParams(rng)
-			if !pl.Eval(ws, a) {
-				t.Fatalf("%v: A fell back", cfg)
+			if err := pl.Eval(ws, a); err != nil {
+				t.Fatalf("%v: A: %v", cfg, err)
 			}
 			first := nodeBits(ws.Results())
-			pl.Eval(ws, b)
-			if !pl.Eval(ws, a) {
-				t.Fatalf("%v: A fell back after B", cfg)
+			if err := pl.Eval(ws, b); err != nil {
+				t.Fatalf("%v: B: %v", cfg, err)
+			}
+			if err := pl.Eval(ws, a); err != nil {
+				t.Fatalf("%v: A after B: %v", cfg, err)
 			}
 			if !reflect.DeepEqual(first, nodeBits(ws.Results())) {
 				t.Errorf("%v: A evaluated to different bits after B (FIR %v)", cfg, b.FIR)
@@ -235,17 +260,15 @@ func TestPlanConcurrentSolves(t *testing.T) {
 			}(w)
 		}
 		wg.Wait()
-		if fb := ps.plan.Fallbacks(); len(fb) != 0 {
-			t.Errorf("%v: fell back %v", cfg, fb)
-		}
 	}
 }
 
-// TestPlanSampleSolveCount pins what one plan sample records: exactly
-// three dense solves in ctmc_solves_total (the AS cluster, the HADB pair
-// and the top model — perfbench's ctmc.solves_per_sample reads this
-// delta) and no SteadyState call, so no per-solve timer sample. Not
-// parallel: the counters are process-wide.
+// TestPlanSampleSolveCount pins what one plan sample and one one-shot
+// Solve record: exactly three dense solves in ctmc_solves_total (the AS
+// cluster, the HADB pair and the top model — perfbench's
+// ctmc.solves_per_sample reads this delta) and a per-solve timer sample
+// only for a node the plan builds. Not parallel: the counters are
+// process-wide.
 func TestPlanSampleSolveCount(t *testing.T) {
 	solves := obs.C("ctmc_solves_total", "", `method="dense"`)
 	timed := obs.H("ctmc_solve_seconds", "", obs.DurationBuckets)
@@ -256,20 +279,30 @@ func TestPlanSampleSolveCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cfg := range []Config{Config1, Config2} {
-		ps := newPlanSolver(cfg, DefaultParams())
+	// Only AS failures far below any real rate underflow La_appl, so the
+	// top model loses AS_Fail and is built.
+	underflow := p
+	underflow.ASFailuresPerYear, underflow.ASOSFailuresPerYear, underflow.ASHWFailuresPerYear = 1e-30, 1e-30, 1e-30
+	wide := Config{ASInstances: 12, HADBPairs: 6, HADBSpares: 2}
+	for _, c := range []struct {
+		name  string
+		run   func() error
+		timed int64
+	}{
+		{"Config 1 sample", func() error { _, _, err := newPlanSolver(Config1, DefaultParams()).solve(p); return err }, 0},
+		{"Config 2 sample", func() error { _, _, err := newPlanSolver(Config2, DefaultParams()).solve(p); return err }, 0},
+		{"Config 1 Solve", func() error { _, err := Solve(Config1, p); return err }, 0},
+		{"underflowed La_appl Solve", func() error { _, err := Solve(wide, underflow); return err }, 1},
+	} {
 		beforeSolves, beforeTimed := solves.Value(), timed.Count()
-		if _, _, err := ps.solve(p); err != nil {
+		if err := c.run(); err != nil {
 			t.Fatal(err)
 		}
 		if n := solves.Value() - beforeSolves; n != 3 {
-			t.Errorf("%v: one sample advanced ctmc_solves_total{method=dense} by %d, want 3", cfg, n)
+			t.Errorf("%s advanced ctmc_solves_total{method=dense} by %d, want 3", c.name, n)
 		}
-		if n := timed.Count() - beforeTimed; n != 0 {
-			t.Errorf("%v: one sample observed %d solve timings, want 0", cfg, n)
-		}
-		if fb := ps.plan.Fallbacks(); len(fb) != 0 {
-			t.Errorf("%v: sample fell back %v", cfg, fb)
+		if n := timed.Count() - beforeTimed; n != c.timed {
+			t.Errorf("%s observed %d solve timings, want %d", c.name, n, c.timed)
 		}
 	}
 }

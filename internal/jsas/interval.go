@@ -3,8 +3,6 @@ package jsas
 import (
 	"fmt"
 	"time"
-
-	"repro/internal/hier"
 )
 
 // IntervalResult reports a finite-mission availability analysis — the
@@ -36,28 +34,27 @@ func IntervalAvailability(cfg Config, p Params, mission time.Duration) (*Interva
 	if mission <= 0 {
 		return nil, fmt.Errorf("mission %v: %w", mission, ErrBadConfig)
 	}
-	top, err := Components(cfg, p)
+	plan, err := compile(cfg, p)
 	if err != nil {
 		return nil, err
 	}
-	ev, err := hier.Evaluate(top, nil, hier.Options{})
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	ws := plan.NewWorkspace(nil)
+	if err := plan.Eval(ws, p); err != nil {
+		return nil, fmt.Errorf("interval availability: %w", err)
+	}
+	root := len(ws.Results()) - 1
+	top, err := ws.Build(root)
 	if err != nil {
 		return nil, fmt.Errorf("interval availability: %w", err)
 	}
-	structure := ev.Structure
-	m := structure.Model()
-	// Start in the Ok state.
-	p0 := make([]float64, m.NumStates())
-	okState, err := m.StateByName(SystemStateOk)
-	if err != nil {
-		return nil, fmt.Errorf("interval availability: %w", err)
-	}
-	p0[okState] = 1
-	rewards := make([]float64, m.NumStates())
-	for _, s := range m.States() {
-		rewards[s] = structure.Rate(s)
-	}
-	ia, err := m.IntervalAvailability(p0, mission.Hours(), rewards)
+	// Start in Ok: the top model's first state and its only working one
+	// (topRewards), so the start vector is also the reward vector.
+	okOnly := make([]float64, top.Model().NumStates())
+	okOnly[0] = 1
+	ia, err := top.Model().IntervalAvailability(okOnly, mission.Hours(), okOnly)
 	if err != nil {
 		return nil, fmt.Errorf("interval availability: %w", err)
 	}
@@ -65,7 +62,7 @@ func IntervalAvailability(cfg Config, p Params, mission time.Duration) (*Interva
 		Config:                  cfg,
 		Mission:                 mission,
 		IntervalAvailability:    ia,
-		SteadyStateAvailability: ev.Result.Availability,
+		SteadyStateAvailability: ws.Results()[root].Availability,
 		ExpectedDowntime:        time.Duration((1 - ia) * float64(mission)),
 	}, nil
 }

@@ -8,68 +8,48 @@ import (
 	"repro/internal/ctmc"
 )
 
-// TestSolveWithMatchesPooledSolve checks the pooled Solve front door and an
-// explicit per-caller context produce bit-identical system results.
-func TestSolveWithMatchesPooledSolve(t *testing.T) {
-	p := DefaultParams()
-	pooled, err := Solve(Config1, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	explicit, err := SolveWith(Config1, p, ctmc.NewSolver())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pooled.Availability != explicit.Availability ||
-		pooled.YearlyDowntimeMinutes != explicit.YearlyDowntimeMinutes ||
-		pooled.MTBFHours != explicit.MTBFHours {
-		t.Fatalf("pooled %+v != explicit %+v", pooled, explicit)
-	}
-}
-
-// TestConcurrentSolvesWithPerWorkerSolvers runs full JSAS hierarchy solves
-// from many goroutines, each with its own Solver (and, through Solve, the
-// shared sync.Pool) — the contract concurrent Solve callers (server
-// requests, a planSolver's fallback points) rely on. Meant to run under
-// -race.
+// TestConcurrentSolvesWithPerWorkerSolvers runs one-shot Solve calls —
+// each compiling its own plan on a solver borrowed from the shared
+// sync.Pool — and samples of one shared UncertaintySolver, whose workers
+// borrow pooled workspaces, from many goroutines at once. Every result
+// must equal its serial value. Meant to run under -race.
 func TestConcurrentSolvesWithPerWorkerSolvers(t *testing.T) {
 	p := DefaultParams()
 	want, err := Solve(Config1, p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sample := UncertaintySolver(Config2, p)
+	assignment := map[string]float64{ParamASFailures: 30, ParamTstartLong: 1.5}
+	wantSample, err := sample(assignment)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const workers = 8
 	var wg sync.WaitGroup
-	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			s := ctmc.NewSolver()
 			for rep := 0; rep < 10; rep++ {
-				var res *SystemResult
-				var err error
 				if rep%2 == 0 {
-					res, err = SolveWith(Config1, p, s)
-				} else {
-					res, err = Solve(Config1, p) // pooled path
-				}
-				if err != nil {
-					errs <- err
-					return
-				}
-				if res.Availability != want.Availability {
-					t.Errorf("worker %d rep %d: availability %v != %v", w, rep, res.Availability, want.Availability)
+					res, err := Solve(Config1, p)
+					if err != nil {
+						t.Errorf("worker %d rep %d: %v", w, rep, err)
+						return
+					}
+					if res.Availability != want.Availability {
+						t.Errorf("worker %d rep %d: Solve availability %v, want %v", w, rep, res.Availability, want.Availability)
+						return
+					}
+				} else if got, err := sample(assignment); err != nil || math.Float64bits(got) != math.Float64bits(wantSample) {
+					t.Errorf("worker %d rep %d: sample downtime %v (err %v), want %v", w, rep, got, err, wantSample)
 					return
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
 }
 
 // TestPooledSolverStartsCold: a Solver borrowed from the pool carries

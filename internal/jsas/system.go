@@ -47,7 +47,10 @@ type SystemResult struct {
 
 // Components returns the hierarchical model for a configuration, with the
 // Application Server and HADB node-pair submodels bound into the Figure 2
-// top-level diagram via their equivalent (λ, μ) rates.
+// top-level diagram via their equivalent (λ, μ) rates. Solve and the
+// analyses evaluate the same hierarchy through a compiled plan; Components
+// under hier.Evaluate is the independent reference they are checked
+// against.
 func Components(cfg Config, p Params) (*hier.Component, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -75,20 +78,9 @@ func Components(cfg Config, p Params) (*hier.Component, error) {
 // common-cause state when p.Beta > 0) from the submodel equivalent rates
 // bound in env.
 func buildTopModel(cfg Config, p Params, env hier.Params) (*reward.Structure, error) {
-	var bound [4]float64
-	var ok bool
-	if bound[0], ok = env["La_appl"]; !ok {
-		return nil, fmt.Errorf("missing La_appl binding: %w", ErrBadConfig)
-	}
-	bound[1] = env["Mu_appl"]
-	if cfg.HADBPairs > 0 {
-		if bound[2], ok = env["La_hadb"]; !ok {
-			return nil, fmt.Errorf("missing La_hadb binding: %w", ErrBadConfig)
-		}
-		bound[3] = env["Mu_hadb"]
-	}
+	bound := []float64{env["La_appl"], env["Mu_appl"], env["La_hadb"], env["Mu_hadb"]}
 	b := ctmc.NewBuilder()
-	emitTopModel(b, cfg, &p, bound[:])
+	emitTopModel(b, cfg, &p, bound)
 	m, err := b.Build()
 	if err != nil {
 		return nil, fmt.Errorf("system model: %w", err)
@@ -147,25 +139,13 @@ func emitTopModel(sk ctmc.Sink, cfg Config, p *Params, bound []float64) {
 	}
 }
 
-// planSolver evaluates one configuration at many parameter points — the
-// Figures 5–8 analyses — through its hierarchy compiled once at base
-// parameters (hier.Compile): the same hierarchy as Components, declared
-// with the chains' emitters. A point whose chain does not match its
-// template (FIR = 0 drops Ok→2_Down, an underflowed La_appl drops
-// AS_Fail, Beta > 0 over a Beta = 0 template adds CC_Fail)
-// is solved by Solve instead, so results and errors are always Solve's.
-// A planSolver is safe for concurrent use: each call borrows a pooled
-// workspace.
-type planSolver struct {
-	cfg        Config
-	plan       *hier.Plan[Params] // nil: every point goes to Solve
-	workspaces sync.Pool
-}
-
-func newPlanSolver(cfg Config, base Params) *planSolver {
-	ps := &planSolver{cfg: cfg}
-	if cfg.Validate() != nil {
-		return ps
+// compile declares cfg's Figure 2 hierarchy — the same chains as
+// Components, written by their emitters — and compiles it at base
+// (hier.Compile). It reports an invalid configuration; base is not
+// checked, since a point that does not fit a template is built afresh.
+func compile(cfg Config, base Params) (*hier.Plan[Params], error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	n := cfg.ASInstances
 	as := &hier.Node[Params]{
@@ -179,10 +159,8 @@ func newPlanSolver(cfg Config, base Params) *planSolver {
 		Rewards: func(m *ctmc.Model) (*reward.Structure, error) { return asRewards(m, n) },
 	}
 	top := &hier.Node[Params]{
-		Name: "JSAS",
-		Emit: func(sk ctmc.Sink, p *Params, bound []float64) {
-			emitTopModel(sk, cfg, p, bound)
-		},
+		Name:     "JSAS",
+		Emit:     func(sk ctmc.Sink, p *Params, bound []float64) { emitTopModel(sk, cfg, p, bound) },
 		Rewards:  topRewards,
 		Children: []*hier.Node[Params]{as},
 	}
@@ -198,84 +176,99 @@ func newPlanSolver(cfg Config, base Params) *planSolver {
 		// Every node above is well formed; an error here is a bug.
 		panic(fmt.Sprintf("jsas: compiling %v: %v", cfg, err))
 	}
-	ps.plan = plan
-	ps.workspaces.New = func() any { return plan.NewWorkspace() }
+	return plan, nil
+}
+
+// eval validates p, evaluates cfg's plan at p into ws and returns the
+// root's measures, the last of ws.Results.
+func eval(cfg Config, plan *hier.Plan[Params], ws *hier.Workspace[Params], p Params) (*reward.Result, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	if err := plan.Eval(ws, p); err != nil {
+		return nil, fmt.Errorf("solve %v: %w", cfg, err)
+	}
+	r := ws.Results()
+	return &r[len(r)-1], nil
+}
+
+// planSolver evaluates one configuration at many parameter points — the
+// Figures 5–8 analyses — through its hierarchy compiled once at base
+// parameters. A point whose chain does not match its template (FIR = 0
+// drops Ok→2_Down, an underflowed La_appl drops AS_Fail, Beta > 0 over a
+// Beta = 0 template adds CC_Fail) has that chain built for the point, so
+// results and errors are Solve's. A planSolver is safe for concurrent
+// use: each call borrows a pooled workspace.
+type planSolver struct {
+	cfg        Config
+	plan       *hier.Plan[Params]
+	err        error // the configuration's, reported for every point
+	workspaces sync.Pool
+}
+
+func newPlanSolver(cfg Config, base Params) *planSolver {
+	ps := &planSolver{cfg: cfg}
+	ps.plan, ps.err = compile(cfg, base)
+	ps.workspaces.New = func() any { return ps.plan.NewWorkspace(ctmc.NewSolver()) }
 	return ps
 }
 
-// solve returns the system availability and yearly downtime at p. Invalid
-// parameters go to Solve too, which reports them.
+// solve returns the system availability and yearly downtime at p.
 func (ps *planSolver) solve(p Params) (availability, downtimeMinutes float64, err error) {
-	if ps.plan != nil && p.Validate() == nil {
-		ws := ps.workspaces.Get().(*hier.Workspace[Params])
-		ok := ps.plan.Eval(ws, p)
-		if ok {
-			r := ws.Results()
-			top := &r[len(r)-1]
-			availability, downtimeMinutes = top.Availability, top.YearlyDowntimeMinutes
-		}
-		ps.workspaces.Put(ws)
-		if ok {
-			return availability, downtimeMinutes, nil
-		}
+	if ps.err != nil {
+		return 0, 0, ps.err
 	}
-	res, err := Solve(ps.cfg, p)
+	ws := ps.workspaces.Get().(*hier.Workspace[Params])
+	defer ps.workspaces.Put(ws)
+	top, err := eval(ps.cfg, ps.plan, ws, p)
 	if err != nil {
 		return 0, 0, err
 	}
-	return res.Availability, res.YearlyDowntimeMinutes, nil
+	return top.Availability, top.YearlyDowntimeMinutes, nil
 }
 
-// solverPool recycles solve contexts across Solve calls. The JSAS chains
-// are tiny but solved in bulk (tables, server requests, the points a
-// planSolver falls back on), so reusing the dense scratch removes most
-// per-solve allocation. Each borrowed Solver is used by one goroutine at a
-// time, which is exactly the contract ctmc.Solver requires; it holds
-// scratch only, so a borrower's results never depend on earlier borrowers.
+// solverPool recycles dense solver scratch across Solve calls. The JSAS
+// chains are tiny but solved in bulk (tables, server requests), so
+// reusing the scratch removes most per-solve allocation. Each borrowed
+// Solver is used by one goroutine at a time, which is exactly the
+// contract ctmc.Solver requires; it holds scratch only, so a borrower's
+// results never depend on earlier borrowers.
 var solverPool = sync.Pool{New: func() any { return ctmc.NewSolver() }}
 
 // Solve evaluates the full hierarchy for a configuration and returns the
-// system-level measures, building every chain afresh. It draws a pooled
-// solve context; callers that manage their own should use SolveWith.
-// Analyses that solve one configuration at many parameter points go
-// through UncertaintySolver or SweepSolver, which compile it once.
+// system-level measures: it compiles the hierarchy at p and evaluates it
+// once, on a pooled solver. Analyses that solve one configuration at many
+// parameter points go through UncertaintySolver or SweepSolver, which
+// compile it once.
 func Solve(cfg Config, p Params) (*SystemResult, error) {
-	s := solverPool.Get().(*ctmc.Solver)
-	defer solverPool.Put(s)
-	return SolveWith(cfg, p, s)
-}
-
-// SolveWith evaluates the full hierarchy for a configuration using the
-// caller-supplied solve context (which must not be shared across
-// goroutines; pass nil to allocate per solve).
-func SolveWith(cfg Config, p Params, s *ctmc.Solver) (*SystemResult, error) {
-	top, err := Components(cfg, p)
+	plan, err := compile(cfg, p)
 	if err != nil {
 		return nil, err
 	}
-	ev, err := hier.Evaluate(top, nil, hier.Options{Solve: ctmc.SolveOptions{Solver: s}})
+	s := solverPool.Get().(*ctmc.Solver)
+	defer solverPool.Put(s)
+	ws := plan.NewWorkspace(s)
+	top, err := eval(cfg, plan, ws, p)
 	if err != nil {
-		return nil, fmt.Errorf("solve %v: %w", cfg, err)
+		return nil, err
 	}
+	// The workspace is this call's own, so its results need no copy.
+	r := ws.Results()
 	res := &SystemResult{
-		Config:       cfg,
-		Availability: ev.Result.Availability,
-		System:       ev.Result,
+		Config:                cfg,
+		Availability:          top.Availability,
+		YearlyDowntimeMinutes: top.YearlyDowntimeMinutes,
+		MTBFHours:             top.MTBFHours,
+		ASSubmodel:            &r[0],
+		System:                top,
 	}
-	res.YearlyDowntimeMinutes = ev.Result.YearlyDowntimeMinutes
-	if ev.Result.FailureFrequency > 0 {
-		res.MTBFHours = ev.Result.MTBFHours
-	}
-	if asEv := ev.Find("Appl Server"); asEv != nil {
-		res.ASSubmodel = asEv.Result
-	}
-	if hadbEv := ev.Find("HADB Node Pair"); hadbEv != nil {
-		res.HADBSubmodel = hadbEv.Result
+	if cfg.HADBPairs > 0 {
+		res.HADBSubmodel = &r[1]
 	}
 	// Downtime split by cause comes from the top-level state occupancy.
-	topModel := ev.Structure.Model()
+	topModel := ws.Chain(len(r) - 1)
 	for s := ctmc.State(0); int(s) < topModel.NumStates(); s++ {
-		minutes := ev.Result.Pi[s] * reward.MinutesPerYear
+		minutes := top.Pi[s] * reward.MinutesPerYear
 		switch topModel.Name(s) {
 		case SystemStateASFail:
 			res.DowntimeASMinutes = minutes

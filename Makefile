@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover reproduce tables figures verify fmt-check trace-demo drain-smoke clean
+.PHONY: all build test race fuzz cover reproduce tables figures verify fmt-check trace-demo drain-smoke clean
 
 all: build test
 
@@ -16,16 +16,23 @@ test:
 race:
 	$(GO) test -race ./...
 
+# Native fuzz targets, a short fixed budget each (go test -fuzz runs one
+# target at a time). A failing input is written under the package's
+# testdata/fuzz/<Target>/ and from then on replays in plain go test.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/spec
+	$(GO) test -run '^$$' -fuzz '^FuzzParseHier$$' -fuzztime 10s ./internal/spec
+
 # gofmt cleanliness: fail listing any file that needs formatting.
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt: the following files need formatting:"; echo "$$out"; exit 1; fi
 
 # Pre-merge verification: formatting, build, vet, the full test suite,
-# the race-detector pass, vet + tests of the separate perfbench benchmark
-# module (so a rename of anything it imports fails here rather than at
-# the next benchmark run), and one iteration of every benchmark, which
-# catches bit-rot in any of them. The backend cross-validation tests
+# the race-detector pass, the fuzz targets, vet + tests of the separate
+# perfbench benchmark module (so a rename of anything it imports fails
+# here rather than at the next benchmark run), and one iteration of
+# every benchmark, which catches bit-rot in any of them. The backend cross-validation tests
 # (TestBayesCTMCCrossValidation, TestClusterBackendsAgree,
 # TestRedundancyBackendsAgree) are the multi-backend contract, and
 # `go test ./...` runs them. The performance gates are Go code in the
@@ -34,7 +41,7 @@ fmt-check:
 # (BenchmarkCampaign*Gate) run in the benchmark line, because a
 # wall-time assertion running beside other packages' tests would flake;
 # -p 1 keeps other packages' builds off the CPUs while they time.
-verify: fmt-check build test race
+verify: fmt-check build test race fuzz
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -p 1 -run '^$$' -bench . -benchtime 1x ./...
 

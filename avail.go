@@ -44,6 +44,7 @@
 package avail
 
 import (
+	"context"
 	"time"
 
 	"repro/internal/ctmc"
@@ -64,7 +65,9 @@ type (
 	ModelBuilder = ctmc.Builder
 	// State is a state handle within a Model.
 	State = ctmc.State
-	// SolveOptions selects and tunes the steady-state solver.
+	// SolveOptions configures a steady-state solve: cancellation, a
+	// reusable Solver, and a diagnostics sink. The method follows from the
+	// chain's size (dense GTH up to 1,200 states, Gauss–Seidel above).
 	SolveOptions = ctmc.SolveOptions
 	// SolveDiagnostics records how a steady-state solve actually ran
 	// (method used, sweeps, residual, dense fallback, wall time); point
@@ -196,7 +199,7 @@ func SweepTstartLong(cfg Config, p Params, fromHours, toHours float64, steps int
 // SweepTstartLongWith is SweepTstartLong with driver options (parallel
 // point evaluation; results are identical at any parallelism).
 func SweepTstartLongWith(cfg Config, p Params, fromHours, toHours float64, steps int, opts SweepOptions) ([]SweepPoint, error) {
-	return sensitivity.SweepWith(fromHours, toHours, steps, jsas.TstartLongSweepSolver(cfg, p), opts)
+	return sensitivity.SweepWith(context.Background(), fromHours, toHours, steps, jsas.TstartLongSweepSolver(cfg, p), opts)
 }
 
 // FailureRateBound is a one-sided upper confidence bound on a failure rate.

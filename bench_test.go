@@ -7,6 +7,7 @@ package avail
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"runtime"
 	"slices"
@@ -127,7 +128,7 @@ func BenchmarkFigure8UncertaintyConfig2(b *testing.B) { benchmarkUncertainty(b, 
 func BenchmarkLongevityRun(b *testing.B) {
 	var served float64
 	for i := 0; i < b.N; i++ {
-		res, err := workload.Run(workload.RunOptions{
+		res, err := workload.Run(context.Background(), workload.RunOptions{
 			Config:   Config1,
 			Params:   DefaultParams(),
 			Profile:  workload.Marketplace(),
@@ -377,7 +378,7 @@ func BenchmarkCampaignCorrelatedGate(b *testing.B) {
 func benchmarkLongevitySeries(b *testing.B, parallelism int) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		if _, err := workload.RunSeriesWith(workload.SeriesOptions{
+		if _, err := workload.RunSeriesWith(context.Background(), workload.SeriesOptions{
 			Run: workload.RunOptions{
 				Config:          Config1,
 				Params:          DefaultParams(),
@@ -432,13 +433,19 @@ func stateName(i int) string {
 	return "s" + string(buf)
 }
 
-func benchmarkSteadyState(b *testing.B, n int, method ctmc.Method) {
+// benchmarkSteadyState solves an n-state random chain, failing unless the
+// solve ran the method named in the benchmark: the method follows from n.
+func benchmarkSteadyState(b *testing.B, n int, want ctmc.Method) {
 	b.Helper()
 	m := randomChain(b, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.SteadyState(ctmc.SolveOptions{Method: method, Tol: 1e-10}); err != nil {
+		var d ctmc.Diagnostics
+		if _, err := m.SteadyState(ctmc.SolveOptions{Diag: &d}); err != nil {
 			b.Fatal(err)
+		}
+		if d.Method != want || d.DenseFallback {
+			b.Fatalf("%d-state chain solved by %v (fallback %v), want %v", n, d.Method, d.DenseFallback, want)
 		}
 	}
 }
@@ -459,16 +466,15 @@ func BenchmarkSteadyStateASChain(b *testing.B) {
 	solver := ctmc.NewSolver()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := solver.SteadyState(s.Model(), ctmc.SolveOptions{Method: ctmc.MethodDense}); err != nil {
+		if _, err := solver.SteadyState(s.Model(), ctmc.SolveOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkSteadyStateGS50(b *testing.B)     { benchmarkSteadyState(b, 50, ctmc.MethodGaussSeidel) }
-func BenchmarkSteadyStateGS200(b *testing.B)    { benchmarkSteadyState(b, 200, ctmc.MethodGaussSeidel) }
-func BenchmarkSteadyStateGS400(b *testing.B)    { benchmarkSteadyState(b, 400, ctmc.MethodGaussSeidel) }
-func BenchmarkSteadyStatePower200(b *testing.B) { benchmarkSteadyState(b, 200, ctmc.MethodPower) }
+// BenchmarkSteadyStateGS1500 solves a chain above the dense threshold, so
+// ctmc.AutoMethod sends it to Gauss–Seidel.
+func BenchmarkSteadyStateGS1500(b *testing.B) { benchmarkSteadyState(b, 1500, ctmc.MethodGaussSeidel) }
 
 // --- Ablation: hierarchical abstraction vs flat product model ---
 
@@ -587,7 +593,7 @@ func BenchmarkSparseMatVec(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.MulVec(x); err != nil {
+		if _, err := m.VecMul(x, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -629,7 +635,7 @@ func BenchmarkHierDocumentSolve(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := doc.Solve(nil); err != nil {
+		if _, err := doc.Solve(context.Background(), nil); err != nil {
 			b.Fatal(err)
 		}
 	}

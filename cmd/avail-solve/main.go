@@ -222,7 +222,7 @@ func solveHierarchy(f *os.File, ov overrides) error {
 	if err != nil {
 		return err
 	}
-	ev, err := doc.Solve(ov)
+	ev, err := doc.Solve(context.Background(), ov)
 	if err != nil {
 		return err
 	}

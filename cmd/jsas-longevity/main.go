@@ -128,7 +128,7 @@ func run(ctx context.Context, args []string) error {
 		// below); runErr makes the exit status reflect the failure.
 		runErr = runSeries(ctx, runOpts, *replicas, *parallel, *days, reporter, *tsOut, series)
 	} else {
-		res, err := workload.RunCtx(ctx, runOpts)
+		res, err := workload.Run(ctx, runOpts)
 		reporter.Stop()
 		if err != nil {
 			return err
@@ -171,7 +171,7 @@ func run(ctx context.Context, args []string) error {
 // its repeated 7-day runs.
 func runSeries(ctx context.Context, runOpts workload.RunOptions, replicas, parallel, days int,
 	reporter *progress.Reporter, tsOut string, ts *testbed.TimeSeries) error {
-	series, runErr := workload.RunSeriesWithCtx(ctx, workload.SeriesOptions{
+	series, runErr := workload.RunSeriesWith(ctx, workload.SeriesOptions{
 		Run:         runOpts,
 		Runs:        replicas,
 		Parallelism: parallel,

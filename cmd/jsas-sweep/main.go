@@ -94,7 +94,7 @@ func run(ctx context.Context, args []string) error {
 	}
 	reporter := progress.NewReporter(tracker, os.Stderr, "sweep", time.Second)
 	reporter.Start()
-	points, err := sensitivity.SweepWithCtx(ctx, *from, *to, *steps,
+	points, err := sensitivity.SweepWith(ctx, *from, *to, *steps,
 		jsas.SweepSolverBackend(cfg, params, *param, kind),
 		sensitivity.SweepOptions{Parallelism: *parallel, Progress: tracker})
 	reporter.Stop()

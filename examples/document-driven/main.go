@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -31,7 +32,7 @@ func main() {
 	}
 
 	// Point solve: the paper's Config 1.
-	ev, err := doc.Solve(nil)
+	ev, err := doc.Solve(context.Background(), nil)
 	if err != nil {
 		log.Fatalf("solve: %v", err)
 	}
@@ -43,7 +44,7 @@ func main() {
 	}
 
 	// Same document, rescaled toward Config 2 by overriding N_pair.
-	ev4, err := doc.Solve(map[string]float64{"N_pair": 4})
+	ev4, err := doc.Solve(context.Background(), map[string]float64{"N_pair": 4})
 	if err != nil {
 		log.Fatalf("solve N_pair=4: %v", err)
 	}

@@ -24,9 +24,9 @@ func (c *afterNCtx) Err() error {
 	return nil
 }
 
-// bigChain builds a birth–death chain wide enough that MethodAuto picks
-// Gauss–Seidel (NumStates > denseThreshold), so the auto dense-fallback
-// path is reachable.
+// bigChain builds a birth–death chain wide enough that AutoMethod picks
+// Gauss–Seidel (NumStates > denseThreshold), so the dense-fallback path is
+// reachable.
 func bigChain(t *testing.T, states int) *Model {
 	t.Helper()
 	b := NewBuilder()
@@ -61,7 +61,7 @@ func TestSteadyStateCanceledUpFront(t *testing.T) {
 	}
 }
 
-// TestSteadyStateCancellationSkipsDenseFallback: MethodAuto's dense
+// TestSteadyStateCancellationSkipsDenseFallback: SteadyState's dense
 // fallback is keyed on non-convergence; a solve canceled mid-iteration
 // must surface the cancellation instead of silently retrying with the
 // dense solver (which would turn a cheap abort into an expensive solve).

@@ -32,16 +32,16 @@ func TestSolveDiagnosticsDense(t *testing.T) {
 }
 
 func TestSolveDiagnosticsIterative(t *testing.T) {
-	m, _, _ := twoState(t, 0.001, 4)
+	m := bigChain(t, denseThreshold+50)
 	var d Diagnostics
-	if _, err := m.SteadyState(SolveOptions{Method: MethodGaussSeidel, Diag: &d}); err != nil {
+	if _, err := m.SteadyState(SolveOptions{Diag: &d}); err != nil {
 		t.Fatal(err)
 	}
 	if d.Method != MethodGaussSeidel {
 		t.Errorf("method = %v, want gauss-seidel", d.Method)
 	}
-	if d.Iterations <= 0 {
-		t.Errorf("iterations = %d, want > 0", d.Iterations)
+	if d.Iterations <= 0 || d.DenseFallback {
+		t.Errorf("diagnostics = %+v, want > 0 iterations and no fallback", d)
 	}
 	if !(d.FinalDiff >= 0 && d.FinalDiff < 1e-12) {
 		t.Errorf("final diff = %g, want within default tolerance", d.FinalDiff)
@@ -54,7 +54,7 @@ func TestSolveRecordsObsMetrics(t *testing.T) {
 	m, _, _ := twoState(t, 0.001, 4)
 	before := obs.C("ctmc_solves_total", "", `method="dense"`).Value()
 	secBefore := obs.H("ctmc_solve_seconds", "", obs.DurationBuckets).Count()
-	if _, err := m.SteadyState(SolveOptions{Method: MethodDense}); err != nil {
+	if _, err := m.SteadyState(SolveOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := obs.C("ctmc_solves_total", "", `method="dense"`).Value(); got != before+1 {

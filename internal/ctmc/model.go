@@ -242,7 +242,7 @@ func (m *Model) Generator() *numeric.Matrix {
 	return q
 }
 
-// SparseGenerator assembles Q in CSR form for the iterative solvers.
+// SparseGenerator assembles Q in CSR form for the Gauss–Seidel solver.
 // The CSR (and its transpose) is assembled once and cached — the model is
 // immutable — so repeated solves of the same chain skip reassembly.
 // Callers must treat the returned matrix as shared and read-only.

@@ -138,13 +138,16 @@ func TestSteadyStateTwoState(t *testing.T) {
 	t.Parallel()
 	const lambda, mu = 3.0, 7.0
 	m, up, down := twoState(t, lambda, mu)
-	for _, method := range []Method{MethodDense, MethodGaussSeidel, MethodPower, MethodAuto} {
-		method := method
-		t.Run(method.String(), func(t *testing.T) {
+	for name, solve := range map[string]func() ([]float64, error){
+		"auto":         func() ([]float64, error) { return m.SteadyState(SolveOptions{}) },
+		"dense":        func() ([]float64, error) { return m.steadyStateDense(nil) },
+		"gauss-seidel": func() ([]float64, error) { return solveGS(nil, m) },
+	} {
+		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			pi, err := m.SteadyState(SolveOptions{Method: method})
+			pi, err := solve()
 			if err != nil {
-				t.Fatalf("SteadyState(%v): %v", method, err)
+				t.Fatal(err)
 			}
 			wantUp := mu / (lambda + mu)
 			if math.Abs(pi[up]-wantUp) > 1e-9 {

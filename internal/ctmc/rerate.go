@@ -136,7 +136,7 @@ func (r *Rerater) SolveDense(s *Solver, pi []float64) error {
 	}
 	obsLastStates.Set(float64(n))
 	obsLastResidual.Set(0)
-	obsSolvesTotal(MethodDense).Inc()
+	obsSolvesTotal[MethodDense].Inc()
 	return nil
 }
 

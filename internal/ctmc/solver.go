@@ -3,7 +3,7 @@ package ctmc
 import "repro/internal/sparse"
 
 // Solver is a reusable steady-state solve context: scratch storage only.
-// It owns the iterative solvers' scratch vectors (via sparse.Workspace)
+// It owns Gauss–Seidel's scratch vectors (via sparse.Workspace)
 // and the dense solver's rate matrix and column-pattern storage.
 //
 // Sweeps, Monte-Carlo sampling, and hierarchical composition solve the

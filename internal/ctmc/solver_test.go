@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/sparse"
 )
 
 // stiffModel builds a birth–death availability-style chain with rates
@@ -69,21 +70,32 @@ func TestSparseGeneratorCached(t *testing.T) {
 	}
 }
 
+// solveGS runs the unexported Gauss–Seidel path through s, whatever the
+// chain's size.
+func solveGS(s *Solver, m *Model) ([]float64, error) {
+	var iter sparse.IterStats
+	return m.steadyStateGS(SolveOptions{Solver: s}, &iter)
+}
+
 // TestReusedSolverMatchesFresh: a Solver holds scratch storage only, so a
 // Gauss–Seidel solve through a Solver reused after any same-shape solve
 // gives the same bits as a fresh Solver.
 func TestReusedSolverMatchesFresh(t *testing.T) {
-	gs := SolveOptions{Method: MethodGaussSeidel}
-	want, err := NewSolver().SteadyState(stiffModel(t, 1.5), gs)
+	want, err := solveGS(NewSolver(), stiffModel(t, 1.5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, before := range []Method{MethodDense, MethodGaussSeidel, MethodPower} {
+	for _, before := range []Method{MethodDense, MethodGaussSeidel} {
 		s := NewSolver()
-		if _, err := s.SteadyState(stiffModel(t, 1), SolveOptions{Method: before}); err != nil {
+		if before == MethodDense {
+			_, err = s.SteadyState(stiffModel(t, 1), SolveOptions{})
+		} else {
+			_, err = solveGS(s, stiffModel(t, 1))
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := s.SteadyState(stiffModel(t, 1.5), gs)
+		got, err := solveGS(s, stiffModel(t, 1.5))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,11 +116,11 @@ func TestSolverDensePathMatchesOneShot(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		scale := 1 + 0.5*float64(i)
 		m := stiffModel(t, scale)
-		got, err := s.SteadyState(m, SolveOptions{Method: MethodDense})
+		got, err := s.SteadyState(m, SolveOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := stiffModel(t, scale).SteadyState(SolveOptions{Method: MethodDense})
+		want, err := stiffModel(t, scale).SteadyState(SolveOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,15 +138,14 @@ func TestSolverDensePathMatchesOneShot(t *testing.T) {
 // iterative residual to be scraped alongside dense-solve diagnostics.
 func TestResidualGaugeResetOnDense(t *testing.T) {
 	gauge := obs.G("ctmc_last_solve_residual", "")
-	m := stiffModel(t, 1)
-	if _, err := m.SteadyState(SolveOptions{Method: MethodGaussSeidel}); err != nil {
+	if _, err := bigChain(t, denseThreshold+50).SteadyState(SolveOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if gauge.Value() <= 0 {
 		t.Fatalf("gauge = %g after iterative solve, want > 0", gauge.Value())
 	}
 	var d Diagnostics
-	if _, err := m.SteadyState(SolveOptions{Method: MethodDense, Diag: &d}); err != nil {
+	if _, err := stiffModel(t, 1).SteadyState(SolveOptions{Diag: &d}); err != nil {
 		t.Fatal(err)
 	}
 	if gauge.Value() != 0 {
@@ -153,7 +164,7 @@ func TestSolverPerWorkerConcurrency(t *testing.T) {
 	models := []*Model{stiffModel(t, 1), stiffModel(t, 2), stiffModel(t, 3)}
 	want := make([][]float64, len(models))
 	for i, m := range models {
-		pi, err := m.SteadyState(SolveOptions{Method: MethodGaussSeidel})
+		pi, err := solveGS(nil, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +180,7 @@ func TestSolverPerWorkerConcurrency(t *testing.T) {
 			s := NewSolver()
 			for rep := 0; rep < 20; rep++ {
 				i := (w + rep) % len(models)
-				pi, err := s.SteadyState(models[i], SolveOptions{Method: MethodGaussSeidel})
+				pi, err := solveGS(s, models[i])
 				if err != nil {
 					errs <- err
 					return

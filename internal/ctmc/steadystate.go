@@ -12,39 +12,32 @@ import (
 	"repro/internal/trace"
 )
 
-// Method selects a steady-state solution algorithm.
+// Method names a steady-state solution algorithm: the one AutoMethod
+// picks for a chain, and the one Diagnostics reports as having produced
+// the result.
 type Method int
 
-// Available steady-state methods.
+// Steady-state methods.
 const (
-	// MethodAuto picks the dense method for small chains and
-	// Gauss–Seidel above the dense threshold.
-	MethodAuto Method = iota + 1
 	// MethodDense solves the chain directly by GTH state reduction.
-	MethodDense
+	MethodDense Method = iota + 1
 	// MethodGaussSeidel iterates Gauss–Seidel sweeps on the sparse
 	// balance equations.
 	MethodGaussSeidel
-	// MethodPower runs power iteration on the uniformized DTMC.
-	MethodPower
 )
 
 func (m Method) String() string {
 	switch m {
-	case MethodAuto:
-		return "auto"
 	case MethodDense:
 		return "dense"
 	case MethodGaussSeidel:
 		return "gauss-seidel"
-	case MethodPower:
-		return "power"
 	default:
 		return fmt.Sprintf("method(%d)", int(m))
 	}
 }
 
-// denseThreshold is the state-count crossover where MethodAuto switches
+// denseThreshold is the state-count crossover where AutoMethod switches
 // from the dense GTH reduction (direct and entrywise accurate; at most
 // O(n³), far less on chains that stay sparse under elimination) to
 // iterative sweeps. Availability chains are stiff (rates spanning
@@ -53,7 +46,7 @@ func (m Method) String() string {
 // count alone.
 const denseThreshold = 1200
 
-// AutoMethod is the method MethodAuto picks for an n-state chain (before
+// AutoMethod is the method SteadyState uses for an n-state chain (before
 // any dense fallback).
 func AutoMethod(n int) Method {
 	if n <= denseThreshold {
@@ -62,24 +55,20 @@ func AutoMethod(n int) Method {
 	return MethodGaussSeidel
 }
 
-// denseFallbackLimit bounds the state count for which MethodAuto retries
+// denseFallbackLimit bounds the state count for which SteadyState retries
 // a failed iterative solve with the dense solver.
 const denseFallbackLimit = 4000
 
 // SolveOptions configures SteadyState.
 type SolveOptions struct {
-	Method Method
 	// Ctx, if non-nil, makes the solve cancelable: it is checked before
-	// the solve starts and every few sweeps inside the iterative solvers,
-	// so a stuck Gauss–Seidel loop aborts promptly with an error wrapping
+	// the solve starts and every few sweeps inside Gauss–Seidel, so a
+	// stuck iterative loop aborts promptly with an error wrapping
 	// context.Canceled (or DeadlineExceeded) — distinct from
 	// sparse.ErrNoConvergence. The dense path is not interruptible
 	// mid-reduction; it only checks the context up front (dense chains
 	// are small by construction, see denseThreshold).
 	Ctx context.Context
-	// Tol/MaxIter are forwarded to the iterative solvers.
-	Tol     float64
-	MaxIter int
 	// Solver, if non-nil, supplies the reusable solve context — scratch
 	// vectors and the dense reduction's storage — for repeated solves
 	// (sweeps, Monte-Carlo, hierarchies). It never changes the
@@ -94,12 +83,12 @@ type SolveOptions struct {
 }
 
 // Diagnostics reports what a steady-state solve actually did — the
-// observability needed to trust (and reproduce) the numbers: MethodAuto's
+// observability needed to trust (and reproduce) the numbers: AutoMethod's
 // silent choices and fallbacks become visible here and in the obs
 // registry.
 type Diagnostics struct {
 	// Method is the algorithm that produced the returned vector (after
-	// any auto selection or dense fallback).
+	// any dense fallback).
 	Method Method
 	// States is the chain size.
 	States int
@@ -116,7 +105,7 @@ type Diagnostics struct {
 	// direct, so no iterative residual describes the returned vector.
 	Residual float64
 	// DenseFallback marks that Gauss–Seidel failed to converge and
-	// MethodAuto retried with the dense solver.
+	// SteadyState retried with the dense solver.
 	DenseFallback bool
 	// Wall is the total solve wall time, including any fallback.
 	Wall time.Duration
@@ -149,26 +138,16 @@ var (
 		"engine runs aborted by context cancellation", `layer="ctmc"`)
 )
 
-// obsSolvesByMethod pre-resolves the per-method solve counters so the hot
-// solve path does not format a label per call.
-var obsSolvesByMethod = map[Method]*obs.Counter{
+// obsSolvesTotal counts completed solves by the method that produced the
+// result, pre-resolved so the hot solve path formats no label per call.
+var obsSolvesTotal = map[Method]*obs.Counter{
 	MethodDense:       newSolvesCounter(MethodDense),
 	MethodGaussSeidel: newSolvesCounter(MethodGaussSeidel),
-	MethodPower:       newSolvesCounter(MethodPower),
 }
 
 func newSolvesCounter(m Method) *obs.Counter {
 	return obs.C("ctmc_solves_total", "completed steady-state solves by method",
 		fmt.Sprintf("method=%q", m))
-}
-
-// obsSolvesTotal counts completed solves by the method that produced the
-// result.
-func obsSolvesTotal(m Method) *obs.Counter {
-	if c, ok := obsSolvesByMethod[m]; ok {
-		return c
-	}
-	return newSolvesCounter(m)
 }
 
 // SteadyState computes the stationary distribution π with π·Q = 0, Σπ = 1.
@@ -190,22 +169,23 @@ func (m *Model) SteadyState(opts SolveOptions) ([]float64, error) {
 	span := trace.Default().Start("ctmc.solve", nil,
 		trace.String(trace.AttrTrack, "solver"),
 		trace.Int("states", int64(m.NumStates())))
-	method := opts.Method
-	auto := method == 0 || method == MethodAuto
-	if auto {
-		method = AutoMethod(m.NumStates())
-	}
+	method := AutoMethod(m.NumStates())
 	var iter sparse.IterStats
 	fellBack := false
-	pi, err := m.steadyStateBy(method, opts, &iter)
-	if err != nil && auto && method == MethodGaussSeidel &&
-		errors.Is(err, sparse.ErrNoConvergence) && m.NumStates() <= denseFallbackLimit {
-		// Stiff chain defeated the iterative solver; fall back to the
-		// exact direct solve while it is still affordable.
-		fellBack = true
-		method = MethodDense
-		obsDenseFallback.Inc()
+	var pi []float64
+	var err error
+	if method == MethodDense {
 		pi, err = m.steadyStateDense(opts.Solver)
+	} else {
+		pi, err = m.steadyStateGS(opts, &iter)
+		if errors.Is(err, sparse.ErrNoConvergence) && m.NumStates() <= denseFallbackLimit {
+			// Stiff chain defeated the iterative solver; fall back to the
+			// exact direct solve while it is still affordable.
+			fellBack = true
+			method = MethodDense
+			obsDenseFallback.Inc()
+			pi, err = m.steadyStateDense(opts.Solver)
+		}
 	}
 	wall := timer.Stop()
 	span.Attr(
@@ -243,55 +223,31 @@ func (m *Model) SteadyState(opts SolveOptions) ([]float64, error) {
 		}
 		return pi, err
 	}
-	obsSolvesTotal(method).Inc()
+	obsSolvesTotal[method].Inc()
 	return pi, nil
 }
 
-func (m *Model) steadyStateBy(method Method, opts SolveOptions, iter *sparse.IterStats) ([]float64, error) {
-	s := opts.Solver
-	switch method {
-	case MethodDense:
-		return m.steadyStateDense(s)
-	case MethodGaussSeidel:
-		q, err := m.SparseGenerator()
-		if err != nil {
-			return nil, err
-		}
-		qt, err := m.SparseGeneratorTransposed()
-		if err != nil {
-			return nil, err
-		}
-		pi, err := sparse.SteadyStateGaussSeidel(q, sparse.SteadyStateOptions{
-			Ctx:        opts.Ctx,
-			Tol:        opts.Tol,
-			MaxIter:    opts.MaxIter,
-			Stats:      iter,
-			Transposed: qt,
-			Workspace:  s.workspace(),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("steady state: %w", err)
-		}
-		return pi, nil
-	case MethodPower:
-		q, err := m.SparseGenerator()
-		if err != nil {
-			return nil, err
-		}
-		pi, err := sparse.SteadyStatePower(q, sparse.SteadyStateOptions{
-			Ctx:       opts.Ctx,
-			Tol:       opts.Tol,
-			MaxIter:   opts.MaxIter,
-			Stats:     iter,
-			Workspace: s.workspace(),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("steady state: %w", err)
-		}
-		return pi, nil
-	default:
-		return nil, fmt.Errorf("unknown method %v: %w", method, ErrBadModel)
+// steadyStateGS solves m by Gauss–Seidel sweeps on its cached sparse
+// generator, recording the sweep statistics into iter.
+func (m *Model) steadyStateGS(opts SolveOptions, iter *sparse.IterStats) ([]float64, error) {
+	q, err := m.SparseGenerator()
+	if err != nil {
+		return nil, err
 	}
+	qt, err := m.SparseGeneratorTransposed()
+	if err != nil {
+		return nil, err
+	}
+	pi, err := sparse.SteadyStateGaussSeidel(q, sparse.SteadyStateOptions{
+		Ctx:        opts.Ctx,
+		Stats:      iter,
+		Transposed: qt,
+		Workspace:  opts.Solver.workspace(),
+	})
+	if err != nil {
+		return nil, fmt.Errorf("steady state: %w", err)
+	}
+	return pi, nil
 }
 
 // steadyStateDense solves m by the dense method into a fresh vector.

@@ -98,22 +98,34 @@ func TestSolveUnsolvableModelIs422(t *testing.T) {
 	}
 }
 
+// TestSolveRejectsTrailingData: a request body is one document. A junk
+// tail or a second value after it is a 400; trailing whitespace is not.
+func TestSolveRejectsTrailingData(t *testing.T) {
+	t.Parallel()
+	for _, route := range []struct{ path, doc string }{
+		{"/v1/solve", flatModel},
+		{"/v1/solve-hierarchy", hierModel},
+	} {
+		for _, tc := range []struct {
+			tail string
+			want int
+		}{
+			{"\n\n", http.StatusOK},
+			{"garbage{", http.StatusBadRequest},
+			{route.doc, http.StatusBadRequest},
+		} {
+			res, body := doRequest(t, http.MethodPost, route.path, route.doc+tc.tail)
+			if res.StatusCode != tc.want {
+				t.Errorf("%s with tail %.10q: status = %d, want %d (body %s)",
+					route.path, tc.tail, res.StatusCode, tc.want, body)
+			}
+		}
+	}
+}
+
 func TestSolveHierarchy(t *testing.T) {
 	t.Parallel()
-	doc := `{
-	  "name": "h",
-	  "root": "top",
-	  "models": [
-	    {"name":"leaf","parameters":{"La":0.01,"Mu":2},
-	     "states":[{"name":"Up","reward":1},{"name":"Down","reward":0}],
-	     "transitions":[{"from":"Up","to":"Down","rate":"La"},{"from":"Down","to":"Up","rate":"Mu"}]},
-	    {"name":"top",
-	     "states":[{"name":"Ok","reward":1},{"name":"Fail","reward":0}],
-	     "transitions":[{"from":"Ok","to":"Fail","rate":"L"},{"from":"Fail","to":"Ok","rate":"M"}]}
-	  ],
-	  "bindings": [{"model":"top","child":"leaf","lambda_param":"L","mu_param":"M"}]
-	}`
-	res, body := doRequest(t, http.MethodPost, "/v1/solve-hierarchy", doc)
+	res, body := doRequest(t, http.MethodPost, "/v1/solve-hierarchy", hierModel)
 	if res.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", res.StatusCode, body)
 	}

@@ -99,6 +99,20 @@ type jobAPI struct {
 // jobs on the same runs listing as the synchronous handlers.
 func RunRegistry() *progress.Registry { return serverRuns }
 
+// trailingData reports anything but whitespace after the value dec has
+// just decoded: one envelope per request, as spec.Parse allows one
+// document.
+func trailingData(dec *json.Decoder) error {
+	_, err := dec.Token()
+	switch {
+	case err == io.EOF:
+		return nil
+	case err == nil:
+		err = errors.New("another value")
+	}
+	return fmt.Errorf("trailing data after the envelope: %w", err)
+}
+
 // handleJobSubmit validates and canonicalizes the request, submits it,
 // and answers 202 with the observing job's status (result stripped: the
 // result, cached or fresh, is served by GET /v1/jobs/{id}). A full queue
@@ -107,7 +121,11 @@ func (a *jobAPI) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	var env jobSubmitRequest
-	if err := dec.Decode(&env); err != nil {
+	err := dec.Decode(&env)
+	if err == nil {
+		err = trailingData(dec)
+	}
+	if err != nil {
 		if bodyTooLarge(err) {
 			writeError(w, http.StatusRequestEntityTooLarge,
 				fmt.Errorf("job request exceeds %d bytes", maxBodyBytes))

@@ -206,6 +206,8 @@ func TestJobSubmitValidation(t *testing.T) {
 		wantInBody string
 	}{
 		{"bad envelope", `not json`, "envelope"},
+		{"trailing junk", `{"kind":"jsas","request":{}}garbage{`, "trailing data"},
+		{"second envelope", `{"kind":"jsas","request":{}} {"kind":"jsas","request":{}}`, "trailing data"},
 		{"missing kind", `{"request":{}}`, "kind missing"},
 		{"unknown kind", `{"kind":"frobnicate"}`, "unknown job kind"},
 		{"unknown field", `{"kind":"jsas","request":{"instancez":2}}`, "instancez"},

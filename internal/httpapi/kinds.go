@@ -304,7 +304,7 @@ func hierTask(doc *spec.HierDocument) jobs.Task {
 		Detail: fmt.Sprintf("hierarchy=%s models=%d", doc.Name, len(doc.Models)),
 		Total:  1,
 		Run: func(ctx context.Context, tr *progress.Tracker) (json.RawMessage, error) {
-			ev, err := doc.SolveCtx(ctx, nil)
+			ev, err := doc.Solve(ctx, nil)
 			if err != nil {
 				return nil, err
 			}

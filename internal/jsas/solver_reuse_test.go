@@ -55,17 +55,22 @@ func TestConcurrentSolvesWithPerWorkerSolvers(t *testing.T) {
 // TestPooledSolverStartsCold: a Solver borrowed from the pool carries
 // nothing from its last borrower that can change a result, so an
 // iteratively solved chain gets the same bits whatever the pool solved
-// before.
+// before. The 7-instance quorum product has 2,187 states, above the dense
+// threshold, so ctmc.AutoMethod sends it to Gauss–Seidel.
 func TestPooledSolverStartsCold(t *testing.T) {
-	st, err := BuildHADBPair(DefaultParams())
+	st, err := ClusterProduct(DefaultParams(), ClusterQuorum{Instances: 7, Quorum: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gs := ctmc.SolveOptions{Method: ctmc.MethodGaussSeidel}
+	var d ctmc.Diagnostics
+	gs := ctmc.SolveOptions{Diag: &d}
 	s := solverPool.Get().(*ctmc.Solver)
 	want, err := s.SteadyState(st.Model(), gs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if d.Method != ctmc.MethodGaussSeidel || d.DenseFallback {
+		t.Fatalf("solved by %v (fallback %v), want gauss-seidel", d.Method, d.DenseFallback)
 	}
 	solverPool.Put(s)
 	for i := 0; i < 3; i++ {

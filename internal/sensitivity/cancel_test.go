@@ -14,7 +14,7 @@ func TestSweepWithCtxCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	solve := func(v float64) (float64, float64, error) { return 1 - v/100, v, nil }
-	pts, err := SweepWithCtx(ctx, 0, 1, 10, solve, SweepOptions{})
+	pts, err := SweepWith(ctx, 0, 1, 10, solve, SweepOptions{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -23,16 +23,18 @@ func TestSweepWithCtxCanceled(t *testing.T) {
 	}
 }
 
-// TestSweepWithCtxLiveMatchesSweep: a live context leaves the sweep
-// byte-identical to the background-context API.
+// TestSweepWithCtxLiveMatchesSweep: a live, cancelable context leaves the
+// sweep byte-identical to Sweep's never-canceled one.
 func TestSweepWithCtxLiveMatchesSweep(t *testing.T) {
 	t.Parallel()
 	solve := func(v float64) (float64, float64, error) { return 1 - v/100, v, nil }
-	a, err := SweepWith(0, 1, 8, solve, SweepOptions{})
+	a, err := Sweep(0, 1, 8, solve)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SweepWithCtx(context.Background(), 0, 1, 8, solve, SweepOptions{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	b, err := SweepWith(ctx, 0, 1, 8, solve, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sensitivity
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -16,12 +17,12 @@ func TestSweepWithParallelismIsBitIdentical(t *testing.T) {
 		a := 1 - 1e-5*v*v
 		return a, (1 - a) * 525600, nil
 	}
-	want, err := SweepWith(0.5, 3, 40, solve, SweepOptions{Parallelism: 1})
+	want, err := SweepWith(context.Background(), 0.5, 3, 40, solve, SweepOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range []int{2, 4, 64} {
-		got, err := SweepWith(0.5, 3, 40, solve, SweepOptions{Parallelism: par})
+		got, err := SweepWith(context.Background(), 0.5, 3, 40, solve, SweepOptions{Parallelism: par})
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}
@@ -50,7 +51,7 @@ func TestSweepWithReportsLowestIndexedFailure(t *testing.T) {
 		return 0.99999, 5, nil
 	}
 	for _, par := range []int{1, 3, 8} {
-		_, err := SweepWith(0, 20, 20, solve, SweepOptions{Parallelism: par})
+		_, err := SweepWith(context.Background(), 0, 20, 20, solve, SweepOptions{Parallelism: par})
 		if err == nil {
 			t.Fatalf("parallelism %d: expected failure", par)
 		}
@@ -69,7 +70,7 @@ func TestSweepDelegatesToSweepWith(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SweepWith(1, 2, 4, solve, SweepOptions{})
+	b, err := SweepWith(context.Background(), 1, 2, 4, solve, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestSweepDelegatesToSweepWith(t *testing.T) {
 			t.Fatalf("point %d: %+v != %+v", i, a[i], b[i])
 		}
 	}
-	if _, err := SweepWith(0, 1, 0, solve, SweepOptions{Parallelism: 4}); !errors.Is(err, ErrBadSweep) {
+	if _, err := SweepWith(context.Background(), 0, 1, 0, solve, SweepOptions{Parallelism: 4}); !errors.Is(err, ErrBadSweep) {
 		t.Fatalf("validation not applied: %v", err)
 	}
 }

@@ -47,19 +47,14 @@ type SweepOptions struct {
 // Sweep evaluates solve at steps+1 evenly spaced values across [from, to]
 // (inclusive). steps must be ≥ 1 and from < to.
 func Sweep(from, to float64, steps int, solve Solver) ([]Point, error) {
-	return SweepWith(from, to, steps, solve, SweepOptions{})
+	return SweepWith(context.Background(), from, to, steps, solve, SweepOptions{})
 }
 
-// SweepWith is Sweep with driver options (parallel evaluation).
-func SweepWith(from, to float64, steps int, solve Solver, opts SweepOptions) ([]Point, error) {
-	return SweepWithCtx(context.Background(), from, to, steps, solve, opts)
-}
-
-// SweepWithCtx is SweepWith with cancellation: a canceled ctx stops
-// dispatching sweep points within one pool-task granularity and the sweep
-// returns ctx.Err() (no points — a sweep with holes would silently skew
-// crossing and delta summaries).
-func SweepWithCtx(ctx context.Context, from, to float64, steps int, solve Solver, opts SweepOptions) ([]Point, error) {
+// SweepWith is Sweep with driver options (parallel evaluation) and
+// cancellation: a canceled ctx stops dispatching sweep points within one
+// pool-task granularity and the sweep returns ctx.Err() (no points — a
+// sweep with holes would silently skew crossing and delta summaries).
+func SweepWith(ctx context.Context, from, to float64, steps int, solve Solver, opts SweepOptions) ([]Point, error) {
 	if solve == nil {
 		return nil, fmt.Errorf("nil solver: %w", ErrBadSweep)
 	}

@@ -8,7 +8,7 @@ import (
 
 // afterNCtx is a context whose Err flips to Canceled after a fixed number
 // of Err() calls — a deterministic stand-in for "canceled mid-solve" that
-// does not depend on iteration speed. The solvers are single-goroutine,
+// does not depend on iteration speed. The solver is single-goroutine,
 // so the plain counter is safe.
 type afterNCtx struct {
 	context.Context
@@ -23,26 +23,21 @@ func (c *afterNCtx) Err() error {
 	return nil
 }
 
-// TestSteadyStateCanceledUpFront: a pre-canceled context aborts both
-// iterative solvers before any sweeps, with an error wrapping
-// context.Canceled — and NOT ErrNoConvergence, so auto-method fallbacks
-// keyed on non-convergence never fire on a cancel.
+// TestSteadyStateCanceledUpFront: a pre-canceled context aborts the solver
+// before any sweeps, with an error wrapping context.Canceled — and NOT
+// ErrNoConvergence, so dense fallbacks keyed on non-convergence never fire
+// on a cancel.
 func TestSteadyStateCanceledUpFront(t *testing.T) {
 	t.Parallel()
 	q, _ := stiffChain(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for name, solve := range map[string]func(*CSR, SteadyStateOptions) ([]float64, error){
-		"power":        SteadyStatePower,
-		"gauss-seidel": SteadyStateGaussSeidel,
-	} {
-		_, err := solve(q, SteadyStateOptions{Ctx: ctx})
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("%s: err = %v, want context.Canceled", name, err)
-		}
-		if errors.Is(err, ErrNoConvergence) {
-			t.Errorf("%s: cancellation reported as non-convergence", name)
-		}
+	_, err := SteadyStateGaussSeidel(q, SteadyStateOptions{Ctx: ctx})
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", err)
+	}
+	if errors.Is(err, ErrNoConvergence) {
+		t.Error("cancellation reported as non-convergence")
 	}
 }
 
@@ -52,21 +47,17 @@ func TestSteadyStateCanceledUpFront(t *testing.T) {
 func TestSteadyStateCanceledMidIteration(t *testing.T) {
 	t.Parallel()
 	q, _ := stiffChain(t)
-	for name, solve := range map[string]func(*CSR, SteadyStateOptions) ([]float64, error){
-		"power":        SteadyStatePower,
-		"gauss-seidel": SteadyStateGaussSeidel,
-	} {
-		// after=1: the pre-loop check passes, the first in-loop check
-		// cancels. The unreachable tolerances keep the solver sweeping past
-		// that check regardless of how fast the small chain converges.
-		ctx := &afterNCtx{Context: context.Background(), after: 1}
-		_, err := solve(q, SteadyStateOptions{Ctx: ctx, Tol: 1e-300, ResidualTol: 1e-300})
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("%s: err = %v, want context.Canceled", name, err)
-		}
-		if errors.Is(err, ErrNoConvergence) {
-			t.Errorf("%s: mid-iteration cancellation reported as non-convergence", name)
-		}
+	// after=1: the pre-loop check passes, the first in-loop check cancels.
+	// The unreachable tolerances keep the solver sweeping past that check
+	// regardless of how fast the small chain converges.
+	ctx := &afterNCtx{Context: context.Background(), after: 1}
+	_, err := gaussSeidel(q, SteadyStateOptions{Ctx: ctx},
+		limits{diffTol: 0, residualTol: 0, maxSweeps: maxSweeps})
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", err)
+	}
+	if errors.Is(err, ErrNoConvergence) {
+		t.Error("mid-iteration cancellation reported as non-convergence")
 	}
 }
 

@@ -1,7 +1,6 @@
 // Package sparse provides compressed sparse row (CSR) matrices and the
-// iterative steady-state solvers (power iteration on the uniformized chain,
-// Gauss–Seidel/SOR on the balance equations) used for CTMCs too large for
-// the dense path.
+// Gauss–Seidel steady-state solver used for CTMCs too large for the dense
+// path.
 package sparse
 
 import (
@@ -92,29 +91,6 @@ func (m *CSR) At(i, j int) float64 {
 		return m.vals[lo+idx]
 	}
 	return 0
-}
-
-// RangeRow calls fn(col, val) for every stored entry in row i.
-func (m *CSR) RangeRow(i int, fn func(col int, val float64)) {
-	for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-		fn(m.colIdx[k], m.vals[k])
-	}
-}
-
-// MulVec computes y = m·x.
-func (m *CSR) MulVec(x []float64) ([]float64, error) {
-	if len(x) != m.cols {
-		return nil, fmt.Errorf("MulVec: vector length %d, cols %d: %w", len(x), m.cols, ErrShape)
-	}
-	y := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		var s float64
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			s += m.vals[k] * x[m.colIdx[k]]
-		}
-		y[i] = s
-	}
-	return y, nil
 }
 
 // VecMul computes y = xᵀ·m into out (allocated if nil or wrong length) and

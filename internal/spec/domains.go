@@ -23,7 +23,6 @@ package spec
 // checks syntax.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -77,10 +76,8 @@ func (s DomainSpec) Domain() (testbed.Domain, error) {
 
 // ParseDomains decodes a JSON fault-domain document into testbed domains.
 func ParseDomains(r io.Reader) ([]testbed.Domain, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var doc DomainsDocument
-	if err := dec.Decode(&doc); err != nil {
+	if err := decodeStrict(r, &doc); err != nil {
 		return nil, fmt.Errorf("spec: decode domains: %w", err)
 	}
 	if len(doc.Domains) == 0 {

@@ -46,10 +46,8 @@ type HierDocument struct {
 
 // ParseHier decodes a hierarchical JSON document.
 func ParseHier(r io.Reader) (*HierDocument, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var d HierDocument
-	if err := dec.Decode(&d); err != nil {
+	if err := decodeStrict(r, &d); err != nil {
 		return nil, fmt.Errorf("spec: decode hierarchy: %w", err)
 	}
 	if err := d.Validate(); err != nil {
@@ -240,16 +238,10 @@ func (d *HierDocument) buildFunc(m *Document, overrides map[string]float64) hier
 	}
 }
 
-// Solve compiles and evaluates the hierarchy in one step. It is SolveCtx
-// with a background context.
-func (d *HierDocument) Solve(overrides map[string]float64) (*hier.Evaluation, error) {
-	return d.SolveCtx(context.Background(), overrides)
-}
-
-// SolveCtx is Solve with cancellation: ctx is threaded through the
-// hierarchy evaluation, aborting between components (and inside iterative
-// submodel solves) when canceled.
-func (d *HierDocument) SolveCtx(ctx context.Context, overrides map[string]float64) (*hier.Evaluation, error) {
+// Solve compiles and evaluates the hierarchy in one step. ctx is threaded
+// through the hierarchy evaluation, aborting between components (and
+// inside iterative submodel solves) when canceled.
+func (d *HierDocument) Solve(ctx context.Context, overrides map[string]float64) (*hier.Evaluation, error) {
 	root, err := d.Compile(overrides)
 	if err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package spec
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"os"
@@ -47,7 +48,7 @@ func TestHierParseAndSolve(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseHier: %v", err)
 	}
-	ev, err := d.Solve(nil)
+	ev, err := d.Solve(context.Background(), nil)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -68,7 +69,7 @@ func TestHierSolveWithOverrides(t *testing.T) {
 		t.Fatalf("ParseHier: %v", err)
 	}
 	// Override the child's failure rate and the shared repair rate.
-	ev, err := d.Solve(map[string]float64{"La": 0.1, "shared": 1})
+	ev, err := d.Solve(context.Background(), map[string]float64{"La": 0.1, "shared": 1})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -76,7 +77,7 @@ func TestHierSolveWithOverrides(t *testing.T) {
 	if math.Abs(ev.Result.Availability-want) > 1e-12 {
 		t.Errorf("availability = %v, want %v", ev.Result.Availability, want)
 	}
-	if _, err := d.Solve(map[string]float64{"nope": 1}); !errors.Is(err, ErrBadSpec) {
+	if _, err := d.Solve(context.Background(), map[string]float64{"nope": 1}); !errors.Is(err, ErrBadSpec) {
 		t.Errorf("unknown override: err = %v", err)
 	}
 }
@@ -141,7 +142,7 @@ func TestJSASConfig1Document(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseHier: %v", err)
 	}
-	ev, err := d.Solve(nil)
+	ev, err := d.Solve(context.Background(), nil)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -159,7 +160,7 @@ func TestJSASConfig1Document(t *testing.T) {
 	}
 	// The document responds to overrides like the programmatic model: 4
 	// pairs double the HADB downtime contribution.
-	ev4, err := d.Solve(map[string]float64{"N_pair": 4})
+	ev4, err := d.Solve(context.Background(), map[string]float64{"N_pair": 4})
 	if err != nil {
 		t.Fatalf("Solve(N_pair=4): %v", err)
 	}
@@ -182,11 +183,11 @@ func TestHierEncodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reparse: %v", err)
 	}
-	ev1, err := d.Solve(nil)
+	ev1, err := d.Solve(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev2, err := d2.Solve(nil)
+	ev2, err := d2.Solve(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

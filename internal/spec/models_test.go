@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -114,7 +115,7 @@ func TestThreeTierDocument(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseHier: %v", err)
 	}
-	ev, err := d.Solve(nil)
+	ev, err := d.Solve(context.Background(), nil)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}

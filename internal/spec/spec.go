@@ -66,12 +66,28 @@ type Document struct {
 	Redundancy *Redundancy `json:"redundancy,omitempty"`
 }
 
-// Parse decodes a JSON document.
-func Parse(r io.Reader) (*Document, error) {
+// decodeStrict decodes exactly one JSON value from r into v: an unknown
+// field is an error, and so is anything but whitespace after the value.
+func decodeStrict(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	_, err := dec.Token()
+	switch {
+	case err == io.EOF:
+		return nil
+	case err == nil:
+		err = errors.New("another value")
+	}
+	return fmt.Errorf("trailing data after the document: %w", err)
+}
+
+// Parse decodes a JSON document.
+func Parse(r io.Reader) (*Document, error) {
 	var d Document
-	if err := dec.Decode(&d); err != nil {
+	if err := decodeStrict(r, &d); err != nil {
 		return nil, fmt.Errorf("spec: decode: %w", err)
 	}
 	if err := d.Validate(); err != nil {

@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -92,7 +93,7 @@ func (d *HierDocument) RunUncertainty(opts uncertainty.Options) (*uncertainty.Re
 		return nil, err
 	}
 	solver := func(assignment map[string]float64) (float64, error) {
-		ev, err := d.Solve(assignment)
+		ev, err := d.Solve(context.Background(), assignment)
 		if err != nil {
 			return 0, err
 		}

@@ -10,7 +10,7 @@ import (
 	"repro/internal/jsas"
 )
 
-// afterNCtx cancels after a fixed number of Err() calls — RunCtx checks
+// afterNCtx cancels after a fixed number of Err() calls — Run checks
 // once per simulation chunk, so this pins the cancellation to a chunk
 // boundary deterministically.
 type afterNCtx struct {
@@ -43,7 +43,7 @@ func TestRunCtxCanceledBeforeStart(t *testing.T) {
 	t.Parallel()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := RunCtx(ctx, shortRunOptions(1))
+	res, err := Run(ctx, shortRunOptions(1))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -57,7 +57,7 @@ func TestRunCtxCanceledBeforeStart(t *testing.T) {
 func TestRunCtxCanceledMidRun(t *testing.T) {
 	t.Parallel()
 	ctx := &afterNCtx{Context: context.Background(), after: 3}
-	res, err := RunCtx(ctx, shortRunOptions(1))
+	res, err := Run(ctx, shortRunOptions(1))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -71,20 +71,22 @@ func TestRunCtxCanceledMidRun(t *testing.T) {
 
 // TestRunCtxLiveMatchesRun: the chunked advance introduced for
 // cancellation must be invisible to the physics — same seed, same
-// counts, with and without a live context.
+// counts under a never-canceled and a live, cancelable context.
 func TestRunCtxLiveMatchesRun(t *testing.T) {
 	t.Parallel()
-	a, err := Run(shortRunOptions(5))
+	a, err := Run(context.Background(), shortRunOptions(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunCtx(context.Background(), shortRunOptions(5))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	b, err := Run(ctx, shortRunOptions(5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.RequestsServed != b.RequestsServed || a.Availability != b.Availability ||
 		a.ASInstanceFailures != b.ASInstanceFailures {
-		t.Errorf("RunCtx(background) diverged from Run: %+v vs %+v", b, a)
+		t.Errorf("Run with a live context diverged: %+v vs %+v", b, a)
 	}
 }
 
@@ -95,7 +97,7 @@ func TestRunSeriesWithCtxCanceled(t *testing.T) {
 	t.Parallel()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunSeriesWithCtx(ctx, SeriesOptions{
+	_, err := RunSeriesWith(ctx, SeriesOptions{
 		Run:  shortRunOptions(1),
 		Runs: 3,
 	})

@@ -44,13 +44,6 @@ type SeriesOptions struct {
 	Parallelism int
 }
 
-// RunSeries executes runs independent longevity tests (distinct seeds)
-// serially and pools their exposure for the failure-rate bound. It is
-// RunSeriesWith with no parallelism.
-func RunSeries(opts RunOptions, runs int) (*SeriesResult, error) {
-	return RunSeriesWith(SeriesOptions{Run: opts, Runs: runs, Parallelism: 1})
-}
-
 // RunSeriesWith executes a longevity series, optionally running the
 // independent runs concurrently. Each run gets a fresh cluster; pooling in
 // series (seed) order makes the result independent of Parallelism.
@@ -60,18 +53,13 @@ func RunSeries(opts RunOptions, runs int) (*SeriesResult, error) {
 // tagged with trace.AttrReplica (a single run records directly, exactly as
 // Run does). A run that fails does not abort the series: completed runs
 // are still pooled, and the failures are returned errors.Join-ed in series
-// order alongside the partial result. It is RunSeriesWithCtx with a
-// background context.
-func RunSeriesWith(opts SeriesOptions) (*SeriesResult, error) {
-	return RunSeriesWithCtx(context.Background(), opts)
-}
-
-// RunSeriesWithCtx is RunSeriesWith with cancellation: a canceled ctx
-// stops dispatching new runs and interrupts in-flight ones at their next
-// chunk boundary; completed runs are still pooled (the partial-series
-// contract), with the interrupted runs' cancellations joined into the
-// returned error in series order.
-func RunSeriesWithCtx(ctx context.Context, opts SeriesOptions) (*SeriesResult, error) {
+// order alongside the partial result.
+//
+// A canceled ctx stops dispatching new runs and interrupts in-flight ones
+// at their next chunk boundary; completed runs are still pooled (the
+// partial-series contract), with the interrupted runs' cancellations
+// joined into the returned error in series order.
+func RunSeriesWith(ctx context.Context, opts SeriesOptions) (*SeriesResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -92,7 +80,7 @@ func RunSeriesWithCtx(ctx context.Context, opts SeriesOptions) (*SeriesResult, e
 	if opts.Run.Progress != nil {
 		// Per-run availability feeds the tracker's running statistic; the
 		// hook runs on the worker that wrote results[i], so the read is
-		// ordered. (Per-chunk Done ticks come from RunCtx itself.)
+		// ordered. (Per-chunk Done ticks come from Run itself.)
 		popts.OnTaskDone = func(i int) {
 			if res := results[i]; res != nil {
 				opts.Run.Progress.Observe(res.Availability)
@@ -114,7 +102,7 @@ func RunSeriesWithCtx(ctx context.Context, opts SeriesOptions) (*SeriesResult, e
 				series[i] = testbed.NewTimeSeries(opts.Run.TimeSeries.Width(), opts.Run.TimeSeries.Cap())
 				runOpts.TimeSeries = series[i]
 			}
-			res, err := RunCtx(ctx, runOpts)
+			res, err := Run(ctx, runOpts)
 			if err != nil {
 				errs[i] = fmt.Errorf("run %d: %w", i+1, err)
 				return errs[i]

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"strings"
@@ -17,7 +18,7 @@ func TestRunSeriesWithDeterministicAcrossParallelism(t *testing.T) {
 	t.Parallel()
 	run := func(parallelism int) (*SeriesResult, []trace.Span) {
 		rec := trace.New(trace.Config{Capacity: trace.Unbounded})
-		series, err := RunSeriesWith(SeriesOptions{
+		series, err := RunSeriesWith(context.Background(), SeriesOptions{
 			Run: RunOptions{
 				Config:          jsas.Config1,
 				Params:          jsas.DefaultParams(),
@@ -69,7 +70,7 @@ func TestRunSeriesWithDeterministicAcrossParallelism(t *testing.T) {
 // without discarding the series result structure.
 func TestRunSeriesWithPartialFailure(t *testing.T) {
 	t.Parallel()
-	series, err := RunSeriesWith(SeriesOptions{
+	series, err := RunSeriesWith(context.Background(), SeriesOptions{
 		Run:         RunOptions{Profile: Profile{}}, // invalid: every run fails
 		Runs:        3,
 		Parallelism: 2,

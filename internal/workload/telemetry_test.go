@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -24,7 +25,7 @@ func TestRunTelemetryDoesNotPerturbResult(t *testing.T) {
 		Seed:            5,
 		OrganicFailures: true,
 	}
-	plain, err := Run(base)
+	plain, err := Run(context.Background(), base)
 	if err != nil {
 		t.Fatalf("plain run: %v", err)
 	}
@@ -32,7 +33,7 @@ func TestRunTelemetryDoesNotPerturbResult(t *testing.T) {
 	tracked := base
 	tracked.Progress = progress.New(ProgressChunks(base.Duration), progress.WithUnit("chunks"))
 	tracked.TimeSeries = testbed.NewTimeSeries(time.Hour, 0)
-	got, err := Run(tracked)
+	got, err := Run(context.Background(), tracked)
 	if err != nil {
 		t.Fatalf("tracked run: %v", err)
 	}
@@ -64,7 +65,7 @@ func TestProgressChunksMatchesLoop(t *testing.T) {
 		97*time.Hour + 13*time.Minute + 7*time.Nanosecond,
 	} {
 		tr := progress.New(0)
-		_, err := Run(RunOptions{
+		_, err := Run(context.Background(), RunOptions{
 			Config:   jsas.Config1,
 			Params:   jsas.DefaultParams(),
 			Profile:  Marketplace(),
@@ -100,7 +101,7 @@ func TestSeriesTimeSeriesDeterministicAcrossParallelism(t *testing.T) {
 			Runs:        3,
 			Parallelism: parallelism,
 		}
-		if _, err := RunSeriesWith(opts); err != nil {
+		if _, err := RunSeriesWith(context.Background(), opts); err != nil {
 			t.Fatalf("parallelism %d: %v", parallelism, err)
 		}
 		var buf bytes.Buffer
@@ -122,7 +123,7 @@ func TestSeriesTimeSeriesDeterministicAcrossParallelism(t *testing.T) {
 func TestSeriesProgressObservesAvailability(t *testing.T) {
 	t.Parallel()
 	tr := progress.New(0, progress.WithStat("availability"))
-	res, err := RunSeriesWith(SeriesOptions{
+	res, err := RunSeriesWith(context.Background(), SeriesOptions{
 		Run: RunOptions{
 			Config:   jsas.Config1,
 			Params:   jsas.DefaultParams(),

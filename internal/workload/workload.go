@@ -128,7 +128,7 @@ type RunOptions struct {
 	Progress *progress.Tracker
 	// TimeSeries, if set, consumes the cluster event stream into a
 	// windowed sim-time availability series (finished with the run horizon
-	// before RunCtx returns). A series gives each run a private recorder
+	// before Run returns). A series gives each run a private recorder
 	// and merges them in series order.
 	TimeSeries *testbed.TimeSeries
 }
@@ -176,17 +176,12 @@ func ProgressChunks(d time.Duration) int64 {
 	return n
 }
 
-// Run executes a longevity test on a fresh simulated cluster. It is
-// RunCtx with a background context.
-func Run(opts RunOptions) (*Result, error) {
-	return RunCtx(context.Background(), opts)
-}
-
-// RunCtx is Run with cancellation: the virtual run advances in runChunks
-// slices and aborts with an error wrapping ctx.Err() when the context is
-// canceled. A canceled run returns no Result — a truncated exposure
-// window would silently weaken the Equation (2) bound it feeds.
-func RunCtx(ctx context.Context, opts RunOptions) (*Result, error) {
+// Run executes a longevity test on a fresh simulated cluster. The virtual
+// run advances in runChunks slices and aborts with an error wrapping
+// ctx.Err() when the context is canceled. A canceled run returns no
+// Result — a truncated exposure window would silently weaken the
+// Equation (2) bound it feeds.
+func Run(ctx context.Context, opts RunOptions) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -63,7 +64,7 @@ func TestNodeDataGB(t *testing.T) {
 // roughly seven million requests per 7-day run at a 60–70% load factor.
 func TestSevenDayStabilityRun(t *testing.T) {
 	t.Parallel()
-	res, err := Run(RunOptions{
+	res, err := Run(context.Background(), RunOptions{
 		Config:   jsas.Config1,
 		Params:   jsas.DefaultParams(),
 		Profile:  Marketplace(),
@@ -89,7 +90,7 @@ func TestSevenDayStabilityRun(t *testing.T) {
 // 24 days, the 95% bound is 1/16 days and the 99.5% bound 1/9 days.
 func TestTwentyFourDayRunBounds(t *testing.T) {
 	t.Parallel()
-	res, err := Run(RunOptions{
+	res, err := Run(context.Background(), RunOptions{
 		Config:   jsas.Config1,
 		Params:   jsas.DefaultParams(),
 		Profile:  NileBookstore(),
@@ -119,7 +120,7 @@ func TestTwentyFourDayRunBounds(t *testing.T) {
 // with the observed count.
 func TestOrganicRunCountsFailures(t *testing.T) {
 	t.Parallel()
-	res, err := Run(RunOptions{
+	res, err := Run(context.Background(), RunOptions{
 		Config:          jsas.Config1,
 		Params:          jsas.DefaultParams(),
 		Profile:         Marketplace(),
@@ -143,16 +144,16 @@ func TestOrganicRunCountsFailures(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	t.Parallel()
-	if _, err := Run(RunOptions{Profile: Profile{}}); !errors.Is(err, ErrBadRun) {
+	if _, err := Run(context.Background(), RunOptions{Profile: Profile{}}); !errors.Is(err, ErrBadRun) {
 		t.Errorf("bad profile: err = %v", err)
 	}
-	if _, err := Run(RunOptions{
+	if _, err := Run(context.Background(), RunOptions{
 		Config: jsas.Config1, Params: jsas.DefaultParams(),
 		Profile: Marketplace(), Duration: 0,
 	}); !errors.Is(err, ErrBadRun) {
 		t.Errorf("zero duration: err = %v", err)
 	}
-	if _, err := Run(RunOptions{
+	if _, err := Run(context.Background(), RunOptions{
 		Config: jsas.Config{}, Params: jsas.DefaultParams(),
 		Profile: Marketplace(), Duration: time.Hour,
 	}); err == nil {
@@ -171,9 +172,9 @@ func TestRunSeriesPoolsExposure(t *testing.T) {
 		Duration: 7 * 24 * time.Hour,
 		Seed:     10,
 	}
-	series, err := RunSeries(opts, 4)
+	series, err := RunSeriesWith(context.Background(), SeriesOptions{Run: opts, Runs: 4, Parallelism: 1})
 	if err != nil {
-		t.Fatalf("RunSeries: %v", err)
+		t.Fatalf("RunSeriesWith: %v", err)
 	}
 	if len(series.Runs) != 4 {
 		t.Fatalf("runs = %d, want 4", len(series.Runs))
@@ -182,7 +183,7 @@ func TestRunSeriesPoolsExposure(t *testing.T) {
 	if series.TotalExposure != wantExposure {
 		t.Errorf("exposure = %v, want %v", series.TotalExposure, wantExposure)
 	}
-	single, err := Run(opts)
+	single, err := Run(context.Background(), opts)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -200,10 +201,10 @@ func TestRunSeriesPoolsExposure(t *testing.T) {
 
 func TestRunSeriesValidation(t *testing.T) {
 	t.Parallel()
-	if _, err := RunSeries(RunOptions{}, 0); !errors.Is(err, ErrBadRun) {
+	if _, err := RunSeriesWith(context.Background(), SeriesOptions{Run: RunOptions{}, Runs: 0}); !errors.Is(err, ErrBadRun) {
 		t.Errorf("runs=0: err = %v", err)
 	}
-	if _, err := RunSeries(RunOptions{Profile: Profile{}}, 1); err == nil {
+	if _, err := RunSeriesWith(context.Background(), SeriesOptions{Run: RunOptions{Profile: Profile{}}, Runs: 1}); err == nil {
 		t.Error("bad options accepted")
 	}
 }

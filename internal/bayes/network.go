@@ -347,18 +347,20 @@ var (
 
 // Solve computes P(root = up) by variable elimination with a
 // deterministic min-degree ordering and returns the backend-independent
-// availability result.
+// availability result. A span in ctx gets a bayes.solve child; an
+// untraced ctx records nothing.
 func (n *Network) Solve(ctx context.Context) (*backend.Result, error) {
 	timer := obs.StartTimer(obsSolveSeconds)
-	span := trace.Default().Start("bayes.solve", nil,
-		trace.String(trace.AttrTrack, "solver"),
-		trace.Int("variables", int64(len(n.vars))))
+	span := trace.Child(ctx, "bayes.solve", 3)
 	pUp, width, err := n.solve(ctx)
 	timer.Stop()
-	span.Attr(
-		trace.Int("max_factor_entries", int64(width)),
-		trace.Bool("error", err != nil))
-	span.End()
+	if span != nil {
+		span.Attr(
+			trace.Int("variables", int64(len(n.vars))),
+			trace.Int("max_factor_entries", int64(width)),
+			trace.Bool("error", err != nil))
+		span.End()
+	}
 	obsLastVars.Set(float64(len(n.vars)))
 	obsLastWidth.Set(float64(width))
 	if err != nil {

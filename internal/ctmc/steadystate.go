@@ -67,7 +67,9 @@ type SolveOptions struct {
 	// context.Canceled (or DeadlineExceeded) — distinct from
 	// sparse.ErrNoConvergence. The dense path is not interruptible
 	// mid-reduction; it only checks the context up front (dense chains
-	// are small by construction, see denseThreshold).
+	// are small by construction, see denseThreshold). A span in Ctx
+	// (trace.ContextWith) gets a ctmc.solve child; without one the
+	// solve records no span.
 	Ctx context.Context
 	// Solver, if non-nil, supplies the reusable solve context — scratch
 	// vectors and the dense reduction's storage — for repeated solves
@@ -166,9 +168,7 @@ func (m *Model) SteadyState(opts SolveOptions) ([]float64, error) {
 		}
 	}
 	timer := obs.StartTimer(obsSolveSeconds)
-	span := trace.Default().Start("ctmc.solve", nil,
-		trace.String(trace.AttrTrack, "solver"),
-		trace.Int("states", int64(m.NumStates())))
+	span := trace.Child(opts.Ctx, "ctmc.solve", 4)
 	method := AutoMethod(m.NumStates())
 	var iter sparse.IterStats
 	fellBack := false
@@ -188,11 +188,14 @@ func (m *Model) SteadyState(opts SolveOptions) ([]float64, error) {
 		}
 	}
 	wall := timer.Stop()
-	span.Attr(
-		trace.String("method", method.String()),
-		trace.Int("iterations", int64(iter.Sweeps)),
-		trace.Bool("error", err != nil))
-	span.End()
+	if span != nil {
+		span.Attr(
+			trace.Int("states", int64(m.NumStates())),
+			trace.String("method", method.String()),
+			trace.Int("iterations", int64(iter.Sweeps)),
+			trace.Bool("error", err != nil))
+		span.End()
+	}
 	// A dense-produced result has no iterative residual: report 0 so the
 	// diagnostics (and the gauge below) never show a stale value from an
 	// earlier or abandoned iterative attempt next to a dense solve.

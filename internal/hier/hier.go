@@ -128,7 +128,10 @@ func Evaluate(c *Component, params Params, opts Options) (*Evaluation, error) {
 // before each component build and threaded into every submodel solve (via
 // ctmc.SolveOptions.Ctx), so a canceled evaluation aborts within one
 // component — or mid-solve, at the iterative solvers' check granularity —
-// returning an error wrapping ctx.Err().
+// returning an error wrapping ctx.Err(). A span in ctx gets a
+// hier.evaluate child, one hier.component span per component under it,
+// and each submodel's ctmc.solve under its component; an untraced ctx
+// records nothing.
 func EvaluateCtx(ctx context.Context, c *Component, params Params, opts Options) (*Evaluation, error) {
 	if opts.Solve.Solver == nil {
 		opts.Solve.Solver = ctmc.NewSolver()
@@ -136,20 +139,20 @@ func EvaluateCtx(ctx context.Context, c *Component, params Params, opts Options)
 	if opts.Solve.Ctx == nil {
 		opts.Solve.Ctx = ctx
 	}
-	name := "hierarchy"
-	if c != nil {
-		name = c.name
+	span := trace.Child(ctx, "hier.evaluate", 2)
+	ev, err := evaluate(trace.ContextWith(ctx, span), c, params, opts, make(map[*Component]bool))
+	if span != nil {
+		name := "hierarchy"
+		if c != nil {
+			name = c.name
+		}
+		span.Attr(trace.String("root", name), trace.Bool("error", err != nil))
+		span.End()
 	}
-	span := trace.Default().Start("hier.evaluate", nil,
-		trace.String(trace.AttrTrack, "solver"),
-		trace.String("root", name))
-	ev, err := evaluate(ctx, c, params, opts, make(map[*Component]bool), span)
-	span.Attr(trace.Bool("error", err != nil))
-	span.End()
 	return ev, err
 }
 
-func evaluate(ctx context.Context, c *Component, params Params, opts Options, visiting map[*Component]bool, parent *trace.Active) (*Evaluation, error) {
+func evaluate(ctx context.Context, c *Component, params Params, opts Options, visiting map[*Component]bool) (*Evaluation, error) {
 	if c == nil {
 		return nil, fmt.Errorf("nil component: %w", ErrBadComponent)
 	}
@@ -167,15 +170,18 @@ func evaluate(ctx context.Context, c *Component, params Params, opts Options, vi
 	visiting[c] = true
 	defer delete(visiting, c)
 
-	span := trace.Default().Start("hier.component", parent,
-		trace.String(trace.AttrTrack, "solver"),
-		trace.String("component", c.name))
-	defer span.End()
+	span := trace.Child(ctx, "hier.component", 1)
+	if span != nil {
+		span.Attr(trace.String("component", c.name))
+		defer span.End()
+		ctx = trace.ContextWith(ctx, span)
+		opts.Solve.Ctx = trace.ContextWith(opts.Solve.Ctx, span)
+	}
 
 	env := params.Clone()
 	ev := &Evaluation{Name: c.name}
 	for _, b := range c.children {
-		childEv, err := evaluate(ctx, b.child, params, opts, visiting, span)
+		childEv, err := evaluate(ctx, b.child, params, opts, visiting)
 		if err != nil {
 			return nil, err
 		}

@@ -24,6 +24,7 @@ import (
 	"repro/internal/progress"
 	"repro/internal/spec"
 	"repro/internal/testbed"
+	"repro/internal/trace"
 	"repro/internal/uncertainty"
 )
 
@@ -172,7 +173,9 @@ func buildJobTask(kind string, raw json.RawMessage) (any, jobs.Task, error) {
 // on the request context, so a client that disconnects mid-solve
 // cancels the work. Tasks of more than one unit (uncertainty samples)
 // register on GET /v1/runs while they run; smaller ones get a nil
-// tracker, which every task tolerates.
+// tracker, which every task tolerates. Each run is one trace on
+// trace.Default(): an httpapi.request root span with the solver spans
+// beneath it.
 func syncRoute(what string, decode func(*http.Request) (jobs.Task, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
@@ -191,7 +194,9 @@ func syncRoute(what string, decode func(*http.Request) (jobs.Task, error)) http.
 			run = serverRuns.Begin(task.Kind, task.Detail, task.Total, task.TrackerOpts...)
 			tr = run.Tracker()
 		}
-		out, err := task.Run(r.Context(), tr)
+		span := trace.Default().Start("httpapi.request", nil, trace.String("kind", task.Kind))
+		out, err := task.Run(trace.ContextWith(r.Context(), span), tr)
+		span.End()
 		if run != nil {
 			run.Finish(err)
 		}

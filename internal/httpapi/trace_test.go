@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/jobs"
 	"repro/internal/trace"
 )
 
@@ -171,4 +172,60 @@ func TestTraceEndpoints(t *testing.T) {
 	if res, _ = doRequest(t, http.MethodGet, "/v1/traces/not-a-number", ""); res.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad trace id = %d, want 400", res.StatusCode)
 	}
+}
+
+// uncertaintyTrace finds the uncertainty.run span of the given sample
+// count on the process-wide ring and returns it with its trace's spans.
+func uncertaintyTrace(t *testing.T, samples int64) (trace.Span, []trace.Span) {
+	t.Helper()
+	for _, sp := range trace.Default().Spans() {
+		if a, _ := sp.Attr("samples"); sp.Name == "uncertainty.run" && a.Int == samples {
+			return sp, trace.Default().TraceSpans(sp.Trace)
+		}
+	}
+	t.Fatalf("no uncertainty.run span of %d samples on trace.Default()", samples)
+	return trace.Span{}, nil
+}
+
+// TestComputeRunsAreTraced: a sync /v1/jsas/uncertainty request and a
+// POST /v1/jobs uncertainty job each become one trace whose root
+// (httpapi.request or jobs.run, with its kind) parents uncertainty.run,
+// with no span per sample, and GET /v1/traces/{id} serves it.
+func TestComputeRunsAreTraced(t *testing.T) {
+	t.Parallel()
+	check := func(samples int64, rootName string) {
+		t.Helper()
+		run, spans := uncertaintyTrace(t, samples)
+		if len(spans) != 2 {
+			t.Errorf("%s trace holds %d spans, want the root and uncertainty.run", rootName, len(spans))
+		}
+		var root trace.Span
+		for _, sp := range spans {
+			if sp.ID == run.Parent {
+				root = sp
+			}
+		}
+		if root.Name != rootName || root.Parent != 0 || root.ID != run.Trace {
+			t.Fatalf("uncertainty.run parent = %+v, want the %s root", root, rootName)
+		}
+		if len(root.Attrs) != 1 || root.AttrString("kind") != JobKindUncertainty {
+			t.Errorf("%s attributes = %v, want kind=%s only", rootName, root.Attrs, JobKindUncertainty)
+		}
+		res, body := doRequest(t, http.MethodGet, fmt.Sprintf("/v1/traces/%d", root.ID), "")
+		if res.StatusCode != http.StatusOK || !strings.Contains(string(body), "uncertainty.run") {
+			t.Errorf("/v1/traces/%d = %d %s", root.ID, res.StatusCode, body)
+		}
+	}
+
+	if res, body := doRequest(t, http.MethodGet, "/v1/jsas/uncertainty?samples=13&seed=24", ""); res.StatusCode != http.StatusOK {
+		t.Fatalf("sync uncertainty = %d %s", res.StatusCode, body)
+	}
+	check(13, "httpapi.request")
+
+	srv, eng := newJobServer(t, jobs.Config{Workers: 1})
+	st := postJob(t, srv, JobKindUncertainty, `{"samples":17,"seed":24}`)
+	if st = waitJob(t, srv, eng, st.ID); st.State != jobs.StateDone {
+		t.Fatalf("job ended %s: %s", st.State, st.Error)
+	}
+	check(17, "jobs.run")
 }

@@ -32,6 +32,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pool"
 	"repro/internal/progress"
+	"repro/internal/trace"
 )
 
 // Submission and cache metrics, reported to the default obs registry.
@@ -423,7 +424,9 @@ func (e *Engine) failClosed(j *job) {
 // execute runs one job to completion and publishes its result: cache
 // insert, single-flight release, and done-marking happen under the
 // engine lock, so a concurrent Submit observes either the in-flight job
-// or the cached result — never a gap between them.
+// or the cached result — never a gap between them. The run is one trace
+// on trace.Default(): a jobs.run root span, passed to the task in its
+// context, with the solver spans beneath it.
 func (e *Engine) execute(j *job) {
 	start := e.clock()
 	run := e.reg.Begin("job:"+j.task.Kind, j.task.Detail, j.task.Total, j.task.TrackerOpts...)
@@ -434,7 +437,9 @@ func (e *Engine) execute(j *job) {
 	j.run = run
 	j.mu.Unlock()
 
-	res, err := j.task.Run(e.ctx, run.Tracker())
+	span := trace.Default().Start("jobs.run", nil, trace.String("kind", j.task.Kind))
+	res, err := j.task.Run(trace.ContextWith(e.ctx, span), run.Tracker())
+	span.End()
 	end := e.clock()
 	run.Finish(err)
 	dur := end.Sub(start).Seconds()

@@ -106,7 +106,16 @@ func emitASCluster(sk ctmc.Sink, p Params, n int, named bool) {
 	trec := p.SessionRecovery.Hours()
 	tss := p.ASRestartShort.Hours()
 	tsl := p.ASRestartLong.Hours()
-	acc := p.Acceleration
+	// accPow[d] = Acc^d, one math.Pow per level rather than per state;
+	// the array keeps clusters of up to 32 instances allocation-free.
+	var accBuf [32]float64
+	accPow := accBuf[:]
+	if n > len(accBuf) {
+		accPow = make([]float64, n)
+	}
+	for d := 0; d < n; d++ {
+		accPow[d] = math.Pow(p.Acceleration, float64(d))
+	}
 
 	m := n - 1
 	for r := 0; r <= m; r++ {
@@ -130,7 +139,7 @@ func emitASCluster(sk ctmc.Sink, p Params, n int, named bool) {
 				d := r + s + l
 				// Failure of one of the n−d surviving instances at
 				// accelerated per-instance rate λ·Acc^d.
-				failRate := float64(n-d) * la * math.Pow(acc, float64(d))
+				failRate := float64(n-d) * la * accPow[d]
 				if d+1 == n {
 					sk.Transition(st, allDown, failRate)
 				} else {

@@ -54,6 +54,8 @@ func Sweep(from, to float64, steps int, solve Solver) ([]Point, error) {
 // cancellation: a canceled ctx stops dispatching sweep points within one
 // pool-task granularity and the sweep returns ctx.Err() (no points — a
 // sweep with holes would silently skew crossing and delta summaries).
+// A span in ctx gets one sensitivity.sweep child; points record no spans,
+// and an untraced ctx records nothing.
 func SweepWith(ctx context.Context, from, to float64, steps int, solve Solver, opts SweepOptions) ([]Point, error) {
 	if solve == nil {
 		return nil, fmt.Errorf("nil solver: %w", ErrBadSweep)
@@ -72,10 +74,7 @@ func SweepWith(ctx context.Context, from, to float64, steps int, solve Solver, o
 	if parallelism > n {
 		parallelism = n
 	}
-	span := trace.Default().Start("sensitivity.sweep", nil,
-		trace.String(trace.AttrTrack, "solver"),
-		trace.Int("steps", int64(steps)),
-		trace.Int("parallelism", int64(parallelism)))
+	span := trace.Child(ctx, "sensitivity.sweep", 3)
 
 	values := make([]float64, n)
 	for i := range values {
@@ -91,34 +90,25 @@ func SweepWith(ctx context.Context, from, to float64, steps int, solve Solver, o
 	if opts.Progress != nil {
 		popts.OnTaskDone = func(int) { opts.Progress.Done() }
 	}
-	// One track name per worker, formatted once rather than per point.
-	tracks := make([]string, parallelism)
-	for w := range tracks {
-		tracks[w] = "solver"
-		if parallelism > 1 {
-			tracks[w] = fmt.Sprintf("worker-%d", w)
-		}
-	}
-	err := pool.Run(ctx, n, popts, func(worker, i int) error {
+	err := pool.Run(ctx, n, popts, func(_, i int) error {
 		v := values[i]
-		ps := trace.Default().Start("sensitivity.point", span,
-			trace.String(trace.AttrTrack, tracks[worker]),
-			trace.Int(trace.AttrIndex, int64(i)),
-			trace.Float("value", v))
 		a, d, err := solve(v)
-		ps.End()
 		if err != nil {
 			return fmt.Errorf("sweep at %g: %w", v, err)
 		}
 		points[i] = Point{Value: v, Availability: a, YearlyDowntimeMinutes: d}
 		return nil
 	})
-	if err != nil {
-		span.Attr(trace.Bool("error", true))
+	if span != nil {
+		span.Attr(
+			trace.Int("steps", int64(steps)),
+			trace.Int("parallelism", int64(parallelism)),
+			trace.Bool("error", err != nil))
 		span.End()
+	}
+	if err != nil {
 		return nil, err
 	}
-	span.End()
 	return points, nil
 }
 

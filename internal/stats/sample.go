@@ -18,9 +18,18 @@ type Summary struct {
 // Summarize computes descriptive statistics. An empty sample yields a zero
 // Summary.
 func Summarize(xs []float64) Summary {
+	s, _ := Describe(xs)
+	return s
+}
+
+// Describe is Summarize that also returns the ascending copy of xs its
+// median was read from, so a caller can take further percentiles and
+// intervals without sorting again. Mean and StdDev sum xs in its own
+// order.
+func Describe(xs []float64) (Summary, Sorted) {
 	n := len(xs)
 	if n == 0 {
-		return Summary{}
+		return Summary{}, nil
 	}
 	s := Summary{N: n, Min: xs[0], Max: xs[0]}
 	var sum float64
@@ -42,15 +51,33 @@ func Summarize(xs []float64) Summary {
 		}
 		s.StdDev = math.Sqrt(ss / float64(n-1))
 	}
-	s.Median = Percentile(xs, 50)
-	return s
+	sorted := SortedCopy(xs)
+	s.Median = sorted.Percentile(50)
+	return s, sorted
+}
+
+// Sorted is a sample in ascending order. Its percentiles read order
+// statistics directly, with no copy or sort per call.
+type Sorted []float64
+
+// SortedCopy returns an ascending copy of xs; xs is not modified.
+func SortedCopy(xs []float64) Sorted {
+	sorted := make(Sorted, len(xs))
+	copy(sorted, xs)
+	sort.Float64s(sorted)
+	return sorted
 }
 
 // Percentile returns the p-th percentile (p ∈ [0, 100]) of xs using linear
 // interpolation between order statistics. The input is not modified.
 // An empty sample returns NaN.
 func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
+	return SortedCopy(xs).Percentile(p)
+}
+
+// Percentile is the package-level Percentile of the sorted sample.
+func (sorted Sorted) Percentile(p float64) float64 {
+	if len(sorted) == 0 {
 		return math.NaN()
 	}
 	if p < 0 {
@@ -59,9 +86,6 @@ func Percentile(xs []float64, p float64) float64 {
 	if p > 100 {
 		p = 100
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
 	if len(sorted) == 1 {
 		return sorted[0]
 	}
@@ -84,16 +108,21 @@ type Interval struct {
 // confidence mass (e.g. 0.80 → the (10th, 90th) percentile interval). This
 // is the empirical interval the paper reports for its uncertainty analysis.
 func PercentileCI(xs []float64, confidence float64) (Interval, error) {
+	return SortedCopy(xs).CI(confidence)
+}
+
+// CI is PercentileCI of the sorted sample.
+func (sorted Sorted) CI(confidence float64) (Interval, error) {
 	if confidence <= 0 || confidence >= 1 {
 		return Interval{}, fmt.Errorf("PercentileCI: confidence %g: %w", confidence, ErrDomain)
 	}
-	if len(xs) == 0 {
+	if len(sorted) == 0 {
 		return Interval{}, fmt.Errorf("PercentileCI: empty sample: %w", ErrDomain)
 	}
 	tail := (1 - confidence) / 2 * 100
 	return Interval{
-		Low:  Percentile(xs, tail),
-		High: Percentile(xs, 100-tail),
+		Low:  sorted.Percentile(tail),
+		High: sorted.Percentile(100 - tail),
 	}, nil
 }
 

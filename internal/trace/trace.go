@@ -162,9 +162,10 @@ func New(cfg Config) *Recorder {
 	return &Recorder{clock: clock, capacity: capacity, sink: cfg.Sink}
 }
 
-// defaultRecorder is the process-wide wall-clock recorder the solver
-// layers (ctmc, uncertainty, hier, sensitivity, httpapi) report into; the
-// HTTP API serves it at GET /v1/traces/{id}.
+// defaultRecorder is the process-wide wall-clock recorder. The HTTP API
+// opens a root span on it for each compute request and job run, the
+// solver layers beneath record into it through the context (see Child),
+// and GET /v1/traces/{id} serves it.
 var defaultRecorder = New(Config{})
 
 // Default returns the process-wide recorder.

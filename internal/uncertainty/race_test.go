@@ -1,0 +1,5 @@
+//go:build race
+
+package uncertainty
+
+const raceEnabled = true

@@ -186,7 +186,10 @@ func Run(ranges []Range, solve Solver, opts Options) (*Result, error) {
 // samples within one pool-task granularity and the analysis returns
 // ctx.Err() (no Result — a partially solved downtime vector would bias
 // every summary statistic, so cancellation discards the run rather than
-// reporting misleading numbers).
+// reporting misleading numbers). A span in ctx gets one uncertainty.run
+// child covering the solves; samples record no spans (their latency is
+// in uncertainty_sample_solve_seconds and Result.Diag), and an untraced
+// ctx records nothing.
 func RunCtx(ctx context.Context, ranges []Range, solve Solver, opts Options) (*Result, error) {
 	if solve == nil {
 		return nil, fmt.Errorf("nil solver: %w", ErrBadAnalysis)
@@ -233,9 +236,10 @@ func RunCtx(ctx context.Context, ranges []Range, solve Solver, opts Options) (*R
 	if err := solveAll(ctx, res, solve, opts.Parallelism, opts.Progress); err != nil {
 		return nil, err
 	}
-	res.Summary = stats.Summarize(res.Downtimes)
+	var sorted stats.Sorted
+	res.Summary, sorted = stats.Describe(res.Downtimes)
 	for _, c := range opts.Confidences {
-		ci, err := stats.PercentileCI(res.Downtimes, c)
+		ci, err := sorted.CI(c)
 		if err != nil {
 			return nil, fmt.Errorf("confidence %g: %w", c, err)
 		}
@@ -260,10 +264,7 @@ func solveAll(ctx context.Context, res *Result, solve Solver, parallelism int, t
 	if parallelism > n {
 		parallelism = n
 	}
-	runSpan := trace.Default().Start("uncertainty.run", nil,
-		trace.String(trace.AttrTrack, "solver"),
-		trace.Int("samples", int64(n)),
-		trace.Int("parallelism", int64(parallelism)))
+	runSpan := trace.Child(ctx, "uncertainty.run", 4)
 	start := time.Now()
 
 	// Latency bookkeeping: per-worker locals merged at the end (a pool
@@ -280,11 +281,8 @@ func solveAll(ctx context.Context, res *Result, solve Solver, parallelism int, t
 		minTime   = make([]time.Duration, parallelism)
 		maxTime   = make([]time.Duration, parallelism)
 	)
-	// One track name per worker, formatted once rather than per sample.
-	tracks := make([]string, parallelism)
 	for w := range minTime {
 		minTime[w] = math.MaxInt64
-		tracks[w] = fmt.Sprintf("worker-%d", w)
 	}
 
 	popts := pool.Options{Workers: parallelism}
@@ -293,12 +291,8 @@ func solveAll(ctx context.Context, res *Result, solve Solver, parallelism int, t
 	}
 	poolErr := pool.Run(ctx, n, popts, func(worker, i int) error {
 		sampleTimer := obs.StartTimer(obsSampleSeconds)
-		sp := trace.Default().Start("uncertainty.sample", runSpan,
-			trace.String(trace.AttrTrack, tracks[worker]),
-			trace.Int(trace.AttrIndex, int64(i)))
 		d, err := solve(res.Samples[i].Assignment)
 		dt := sampleTimer.Stop()
-		sp.End()
 		busy[worker] += dt
 		if err != nil {
 			failCount.Add(1)
@@ -338,10 +332,14 @@ func solveAll(ctx context.Context, res *Result, solve Solver, parallelism int, t
 	}
 
 	wall := time.Since(start)
-	runSpan.Attr(
-		trace.Int("solved", okCount.Load()),
-		trace.Int("failed", failCount.Load()))
-	runSpan.End()
+	if runSpan != nil {
+		runSpan.Attr(
+			trace.Int("samples", int64(n)),
+			trace.Int("parallelism", int64(parallelism)),
+			trace.Int("solved", okCount.Load()),
+			trace.Int("failed", failCount.Load()))
+		runSpan.End()
+	}
 	solved := int(okCount.Load())
 	diag := RunDiagnostics{
 		SamplesSolved: solved,
@@ -364,11 +362,13 @@ func solveAll(ctx context.Context, res *Result, solve Solver, parallelism int, t
 	return poolErr
 }
 
-// drawUnitSamples produces samples×dims values in [0,1).
+// drawUnitSamples produces samples×dims values in [0,1): one row per
+// sample, all rows cut from one backing array.
 func drawUnitSamples(rng *rand.Rand, s Sampler, dims, samples int) ([][]float64, error) {
 	out := make([][]float64, samples)
+	flat := make([]float64, samples*dims)
 	for i := range out {
-		out[i] = make([]float64, dims)
+		out[i] = flat[i*dims : (i+1)*dims : (i+1)*dims]
 	}
 	switch s {
 	case SamplerUniform:

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/jsas"
+	"repro/internal/trace"
 )
 
 func solveAccept(t *testing.T, cfg Config) *SystemResult {
@@ -211,5 +212,34 @@ func TestPaperConclusions(t *testing.T) {
 	if res.YearlyDowntimeMinutes*60*1000 > 100 {
 		t.Errorf("AS4 downtime = %.1f ms/yr, paper: millisecond level",
 			res.YearlyDowntimeMinutes*60*1000)
+	}
+}
+
+// TestPaperReproductionRecordsNoSpans: a full untraced reproduction —
+// Tables 2 and 3, the Figure 5/6 sweeps and the 1,000-sample Figure 7/8
+// analyses — adds no span to the process-wide trace ring. Not parallel,
+// so no other test records meanwhile.
+func TestPaperReproductionRecordsNoSpans(t *testing.T) {
+	ring := trace.Default()
+	before, dropped := len(ring.Spans()), ring.Dropped()
+	p := DefaultParams()
+	for _, n := range []int{1, 2, 4, 6, 8, 10} {
+		cfg := Config{ASInstances: n, HADBPairs: n, HADBSpares: 2}
+		if n == 1 {
+			cfg = Config{ASInstances: 1}
+		}
+		solveAccept(t, cfg)
+	}
+	for _, cfg := range []Config{Config1, Config2} {
+		solveAccept(t, cfg)
+		if _, err := SweepTstartLong(cfg, p, 0.5, 3, 10); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RunUncertainty(cfg, p, UncertaintyOptions{Samples: 1000, Seed: 2004}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := len(ring.Spans()); got != before || ring.Dropped() != dropped {
+		t.Errorf("trace.Default() went from %d spans to %d (dropped %d → %d)", before, got, dropped, ring.Dropped())
 	}
 }

@@ -22,6 +22,7 @@ race:
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/spec
 	$(GO) test -run '^$$' -fuzz '^FuzzParseHier$$' -fuzztime 10s ./internal/spec
+	$(GO) test -run '^$$' -fuzz '^FuzzParseDomains$$' -fuzztime 10s ./internal/spec
 
 # gofmt cleanliness: fail listing any file that needs formatting.
 fmt-check:

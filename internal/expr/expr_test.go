@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func evalOK(t *testing.T, src string, env Env) float64 {
@@ -397,6 +398,49 @@ func TestNumberLexingEdgeCases(t *testing.T) {
 			// Lexed as "1" then ident "e" juxtaposed → syntax error
 			// expected; reaching here means it parsed as something else.
 			t.Errorf("Parse(\"1e\") unexpectedly evaluated to %v", v)
+		}
+	}
+}
+
+// TestNestingCap: expressions nesting past maxNesting are a SyntaxError,
+// found before the parser recurses further, and the cap leaves room for
+// everything up to it. A unary minus nested 100,000 deep parsed fine
+// once and then took seconds to render.
+func TestNestingCap(t *testing.T) {
+	t.Parallel()
+	tooDeep := map[string]string{
+		"unary minus": strings.Repeat("-", 100000) + "1",
+		"parentheses": strings.Repeat("(", 100000) + "1" + strings.Repeat(")", 100000),
+		"calls":       strings.Repeat("abs(", 100000) + "1" + strings.Repeat(")", 100000),
+		"power chain": "2" + strings.Repeat("^2", 100000),
+		"flat sum":    "1" + strings.Repeat("+1", 100000),
+	}
+	for name, src := range tooDeep {
+		start := time.Now()
+		_, err := Parse(src)
+		var se *SyntaxError
+		if !errors.As(err, &se) || !strings.Contains(se.Message, "nests deeper") {
+			t.Errorf("%s: err = %v, want a nesting SyntaxError", name, err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("%s: rejected after %v", name, d)
+		}
+	}
+	// A long run of unary pluses adds no node and no level.
+	if _, err := Parse(strings.Repeat("+", 100000) + "1"); err != nil {
+		t.Errorf("unary plus run: %v", err)
+	}
+	atCap := map[string]string{
+		"unary minus": strings.Repeat("-", maxNesting) + "1",
+		"parentheses": strings.Repeat("(", maxNesting) + "1" + strings.Repeat(")", maxNesting),
+		"flat sum":    "1" + strings.Repeat("+1", maxNesting),
+	}
+	for name, src := range atCap {
+		if _, err := Parse(src); err != nil {
+			t.Errorf("%s at the cap: %v", name, err)
+		}
+		if _, err := Parse("(" + src + ")"); err == nil {
+			t.Errorf("%s one past the cap parsed", name)
 		}
 	}
 }

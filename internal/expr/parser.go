@@ -222,7 +222,7 @@ func Parse(src string) (*Expr, error) {
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
-	root, err := p.parseExpr(0)
+	root, err := p.parseExpr(0, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -276,6 +276,15 @@ func (e *Expr) Constant() (float64, bool) {
 	return v, true
 }
 
+// maxNesting bounds how deeply an expression nests. Every parenthesized
+// group, unary minus, function call and binary operator application
+// opens one level around what it contains, so a flat sum of n terms
+// nests n levels, like the left-deep tree it parses to. Parsing,
+// evaluation and rendering all recurse once per level; the cap keeps a
+// hostile document from driving them a million frames deep. Model rate
+// expressions nest at most six levels.
+const maxNesting = 1000
+
 // parser is a Pratt (precedence-climbing) parser.
 type parser struct {
 	lex *lexer
@@ -304,8 +313,13 @@ func infixPower(k tokenKind) (left, right int, ok bool) {
 	return 0, 0, false
 }
 
-func (p *parser) parseExpr(minPower int) (Node, error) {
-	left, err := p.parsePrefix()
+// parseExpr parses an expression whose operators bind at least minPower,
+// depth levels below the root.
+func (p *parser) parseExpr(minPower, depth int) (Node, error) {
+	if depth > maxNesting {
+		return nil, &SyntaxError{Pos: p.cur.pos, Message: fmt.Sprintf("expression nests deeper than %d levels", maxNesting)}
+	}
+	left, err := p.parsePrefix(depth)
 	if err != nil {
 		return nil, err
 	}
@@ -318,7 +332,9 @@ func (p *parser) parseExpr(minPower int) (Node, error) {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		right, err := p.parseExpr(rp)
+		// The new node pushes everything parsed so far one level down.
+		depth++
+		right, err := p.parseExpr(rp, depth)
 		if err != nil {
 			return nil, err
 		}
@@ -326,7 +342,12 @@ func (p *parser) parseExpr(minPower int) (Node, error) {
 	}
 }
 
-func (p *parser) parsePrefix() (Node, error) {
+func (p *parser) parsePrefix(depth int) (Node, error) {
+	for p.cur.kind == tokPlus { // unary plus is a no-op
+		if err := p.advance(); err != nil {
+			return nil, err
+		}
+	}
 	switch p.cur.kind {
 	case tokNumber:
 		v, err := strconv.ParseFloat(p.cur.text, 64)
@@ -344,28 +365,23 @@ func (p *parser) parsePrefix() (Node, error) {
 			return nil, err
 		}
 		if p.cur.kind == tokLParen {
-			return p.parseCall(name, pos)
+			return p.parseCall(name, pos, depth)
 		}
 		return varNode(name), nil
 	case tokMinus:
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		inner, err := p.parseExpr(5) // binds tighter than * and /
+		inner, err := p.parseExpr(5, depth+1) // binds tighter than * and /
 		if err != nil {
 			return nil, err
 		}
 		return &unaryNode{op: '-', expr: inner}, nil
-	case tokPlus:
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		return p.parsePrefix()
 	case tokLParen:
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		inner, err := p.parseExpr(0)
+		inner, err := p.parseExpr(0, depth+1)
 		if err != nil {
 			return nil, err
 		}
@@ -381,7 +397,7 @@ func (p *parser) parsePrefix() (Node, error) {
 	}
 }
 
-func (p *parser) parseCall(name string, pos int) (Node, error) {
+func (p *parser) parseCall(name string, pos, depth int) (Node, error) {
 	fn, known := builtins[name]
 	if err := p.advance(); err != nil { // consume '('
 		return nil, err
@@ -389,7 +405,7 @@ func (p *parser) parseCall(name string, pos int) (Node, error) {
 	var args []Node
 	if p.cur.kind != tokRParen {
 		for {
-			a, err := p.parseExpr(0)
+			a, err := p.parseExpr(0, depth+1)
 			if err != nil {
 				return nil, err
 			}

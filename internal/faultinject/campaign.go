@@ -100,17 +100,20 @@ type Options struct {
 	// campaign root, one span per injection, and — via the testbed tracer —
 	// component failure / recovery-stage / outage spans beneath each.
 	Trace *trace.Recorder
-	// Progress, if set, receives one Done() per completed injection plus
-	// an Observe(1|0) per recovery verdict, so live status lines can show
-	// the running success rate (the Eq. (1) quantity) with a CI half-width.
-	// The tracker is atomic: replicated campaigns share one across
-	// replicas. nil (the default) costs one predictable branch per
-	// injection.
+	// Progress, if set, counts completed injections and observes each
+	// recovery verdict as 1 or 0, so live status lines can show the
+	// running success rate (the Eq. (1) quantity) with a CI half-width.
+	// It advances in 64-injection steps, plus one final step when the
+	// campaign stops for any reason, so it ends at the number of
+	// completed injections. The tracker is atomic: replicated campaigns
+	// share one across replicas.
 	Progress *progress.Tracker
 	// TimeSeries, if set, consumes the cluster event stream into a
-	// windowed sim-time availability series (finished with the campaign
-	// horizon before RunCtx returns). Replicated campaigns give each
-	// replica a private series and merge them in replica order.
+	// windowed sim-time availability series. The series accounts time
+	// only at outage boundaries and is complete once RunCtx has called
+	// FinishAt with the campaign horizon, just before it returns.
+	// Replicated campaigns give each replica a private series and merge
+	// them in replica order.
 	TimeSeries *testbed.TimeSeries
 }
 
@@ -176,7 +179,7 @@ type Report struct {
 	// Stats is the cluster's own availability accounting for the campaign
 	// run — the ground truth the trace-based decomposition is checked
 	// against. For a replicated report it is the per-replica Stats merged
-	// with testbed.Stats.Merge.
+	// with testbed.MergeStats.
 	Stats testbed.Stats
 }
 
@@ -294,6 +297,11 @@ func RunCtx(ctx context.Context, opts Options) (*Report, error) {
 		return nil, fmt.Errorf("faultinject: %w", err)
 	}
 	rng := cluster.Sim().RNG()
+	// The "domain:<name>" target of each declared domain, built once.
+	domainTargets := make([]string, len(opts.Domains))
+	for j, d := range opts.Domains {
+		domainTargets[j] = "domain:" + d.Name
+	}
 	// Scratch for partition target selection (partial Fisher–Yates),
 	// allocated once for the whole campaign.
 	var partitionIDs []int
@@ -302,10 +310,14 @@ func RunCtx(ctx context.Context, opts Options) (*Report, error) {
 	}
 	rep := &Report{
 		Config:        opts.Config,
+		Injections:    make([]Injection, 0, opts.Injections),
 		Replicas:      1,
 		ByFault:       make(map[testbed.Fault]int),
 		RecoveryTimes: make(map[string][]time.Duration),
 	}
+	// Progress is reported in batches: pendingDone injections, of which
+	// pendingRecovered recovered, are not yet on opts.Progress.
+	var pendingDone, pendingRecovered int64
 	var runErr error
 	for i := 0; i < opts.Injections; i++ {
 		if err := ctx.Err(); err != nil {
@@ -346,23 +358,29 @@ func RunCtx(ctx context.Context, opts Options) (*Report, error) {
 		// avoids Stats, which copies the whole outage and recovery history
 		// and would make the campaign quadratic in its own length.
 		outagesBefore := cluster.OutageCount()
-		injSpan := opts.Trace.StartAt(trace.SpanInjection, inj.At, root,
-			trace.String(trace.AttrTrack, "campaign"),
-			trace.Int(trace.AttrIndex, int64(i)),
-			trace.String(trace.AttrFault, fault.String()),
-			trace.String(trace.AttrKind, kind.String()))
+		// Span attributes are built only under a recorder: a variadic
+		// attribute list escapes to the heap even when the span is nil.
+		var injSpan *trace.Active
 		if tracer != nil {
+			injSpan = opts.Trace.StartAt(trace.SpanInjection, inj.At, root,
+				trace.String(trace.AttrTrack, "campaign"),
+				trace.Int(trace.AttrIndex, int64(i)),
+				trace.String(trace.AttrFault, fault.String()),
+				trace.String(trace.AttrKind, kind.String()))
 			tracer.SetParent(injSpan)
 		}
 		var placeErr error
 		switch class {
 		case testbed.CauseCommonCause:
-			d := opts.Domains[rng.Intn(len(opts.Domains))]
+			j := rng.Intn(len(opts.Domains))
+			d := opts.Domains[j]
 			inj.Domain = d.Name
-			inj.Target = "domain:" + d.Name
-			injSpan.Attr(
-				trace.String(trace.AttrClass, class.String()),
-				trace.String(trace.AttrDomain, d.Name))
+			inj.Target = domainTargets[j]
+			if injSpan != nil {
+				injSpan.Attr(
+					trace.String(trace.AttrClass, class.String()),
+					trace.String(trace.AttrDomain, d.Name))
+			}
 			if n, err := cluster.InjectDomain(d.Name, fault); err != nil {
 				placeErr = err
 			} else {
@@ -385,7 +403,9 @@ func RunCtx(ctx context.Context, opts Options) (*Report, error) {
 				partitionIDs[j], partitionIDs[swap] = partitionIDs[swap], partitionIDs[j]
 			}
 			inj.Target = fmt.Sprintf("network:%d", k)
-			injSpan.Attr(trace.String(trace.AttrClass, class.String()))
+			if injSpan != nil {
+				injSpan.Attr(trace.String(trace.AttrClass, class.String()))
+			}
 			if err := cluster.InjectPartition(partitionIDs[:k]); err != nil {
 				placeErr = err
 			} else {
@@ -395,7 +415,9 @@ func RunCtx(ctx context.Context, opts Options) (*Report, error) {
 			if rng.Float64() < asFraction {
 				id := rng.Intn(opts.Config.ASInstances)
 				inj.Target = fmt.Sprintf("as-%d", id)
-				injSpan.Attr(trace.String(trace.AttrComponent, testbed.ComponentAS.String()))
+				if injSpan != nil {
+					injSpan.Attr(trace.String(trace.AttrComponent, testbed.ComponentAS.String()))
+				}
 				if err := cluster.InjectAS(id, fault); err != nil {
 					placeErr = err
 				} else {
@@ -405,7 +427,9 @@ func RunCtx(ctx context.Context, opts Options) (*Report, error) {
 				pair := rng.Intn(opts.Config.HADBPairs)
 				slot := rng.Intn(2)
 				inj.Target = fmt.Sprintf("hadb-%d/%d", pair, slot)
-				injSpan.Attr(trace.String(trace.AttrComponent, testbed.ComponentHADB.String()))
+				if injSpan != nil {
+					injSpan.Attr(trace.String(trace.AttrComponent, testbed.ComponentHADB.String()))
+				}
 				if err := cluster.InjectHADB(pair, slot, fault); err != nil {
 					placeErr = err
 					break
@@ -434,27 +458,28 @@ func RunCtx(ctx context.Context, opts Options) (*Report, error) {
 		if inj.Recovered {
 			rep.Successes++
 		}
-		injSpan.Attr(
-			trace.String(trace.AttrTarget, inj.Target),
-			trace.Bool(trace.AttrMultiNode, inj.MultiNode),
-			trace.Bool(trace.AttrRecovered, inj.Recovered))
 		if tracer != nil {
+			injSpan.Attr(
+				trace.String(trace.AttrTarget, inj.Target),
+				trace.Bool(trace.AttrMultiNode, inj.MultiNode),
+				trace.Bool(trace.AttrRecovered, inj.Recovered))
 			tracer.SetParent(root)
+			injSpan.EndAt(cluster.Now())
 		}
-		injSpan.EndAt(cluster.Now())
 		rep.ByFault[fault]++
 		rep.Injections = append(rep.Injections, inj)
 		obsInjections.Inc()
 		obsInjectionsByClass[class].Inc()
-		if opts.Progress != nil {
-			opts.Progress.Done()
-			if inj.Recovered {
-				opts.Progress.Observe(1)
-			} else {
-				opts.Progress.Observe(0)
-			}
+		pendingDone++
+		if inj.Recovered {
+			pendingRecovered++
+		}
+		if pendingDone == progressBatch {
+			flushProgress(opts.Progress, pendingDone, pendingRecovered)
+			pendingDone, pendingRecovered = 0, 0
 		}
 	}
+	flushProgress(opts.Progress, pendingDone, pendingRecovered)
 	if tracer != nil {
 		tracer.Close(cluster.Now())
 		root.EndAt(cluster.Now())
@@ -483,6 +508,20 @@ func RunCtx(ctx context.Context, opts Options) (*Report, error) {
 		}
 	}
 	return rep, runErr
+}
+
+// progressBatch is how many injections RunCtx completes between progress
+// reports: a tracker shared by replicas then takes one batch of atomic
+// adds per 64 injections instead of four per injection.
+const progressBatch = 64
+
+// flushProgress reports done completed injections, recovered of which
+// recovered, to t (nil-safe). Verdicts are 0/1, so the running sum and sum
+// of squares are both the recovered count: exact, and the same snapshot
+// as one Observe per verdict.
+func flushProgress(t *progress.Tracker, done, recovered int64) {
+	t.Add(done)
+	t.ObserveSum(done, float64(recovered), float64(recovered))
 }
 
 // waitHealthy advances the simulation event-by-event until every component

@@ -202,13 +202,31 @@ func RunReplicatedCtx(ctx context.Context, opts ReplicatedOptions) (*Report, err
 // one Report: injections concatenate, success and per-fault counts sum,
 // recovery-time samples append per key, cluster stats merge, and the
 // Equation (1) bounds are recomputed over the pooled counts. nil entries
-// (replicas that produced nothing) are skipped.
+// (replicas that produced nothing) are skipped. Every pooled list is
+// counted first and sized once, so each record is copied once.
 func mergeReports(opts Options, replicas int, parts []*Report) (*Report, error) {
 	out := &Report{
 		Config:        opts.Config,
 		Replicas:      replicas,
 		ByFault:       make(map[testbed.Fault]int),
 		RecoveryTimes: make(map[string][]time.Duration),
+	}
+	injections := 0
+	samples := make(map[string]int)
+	stats := make([]testbed.Stats, 0, len(parts))
+	for _, p := range parts {
+		if p == nil {
+			continue
+		}
+		injections += len(p.Injections)
+		for k, v := range p.RecoveryTimes {
+			samples[k] += len(v)
+		}
+		stats = append(stats, p.Stats)
+	}
+	out.Injections = make([]Injection, 0, injections)
+	for k, n := range samples {
+		out.RecoveryTimes[k] = make([]time.Duration, 0, n)
 	}
 	for _, p := range parts {
 		if p == nil {
@@ -222,8 +240,8 @@ func mergeReports(opts Options, replicas int, parts []*Report) (*Report, error) 
 		for k, v := range p.RecoveryTimes {
 			out.RecoveryTimes[k] = append(out.RecoveryTimes[k], v...)
 		}
-		out.Stats = out.Stats.Merge(p.Stats)
 	}
+	out.Stats = testbed.MergeStats(stats...)
 	// Rederive the per-class decomposition from the pooled records — a
 	// sum of per-replica maps and a recompute agree exactly, and the
 	// recompute keeps one source of truth.

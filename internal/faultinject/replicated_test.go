@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/jsas"
+	"repro/internal/testbed"
 	"repro/internal/trace"
 )
 
@@ -87,6 +88,63 @@ func TestReplicatedDeterministicAcrossParallelism(t *testing.T) {
 		if !reflect.DeepEqual(spans1, spansN) {
 			t.Fatalf("trace stream differs between parallelism 1 and %d", par)
 		}
+	}
+}
+
+// TestReplicatedMergeMatchesReplicas: the merged report is the
+// replicas' own reports pooled in replica order, at any parallelism:
+// injections and recovery-time samples concatenate, and the cluster
+// stats are testbed.MergeStats of the per-replica Stats.
+func TestReplicatedMergeMatchesReplicas(t *testing.T) {
+	t.Parallel()
+	params := jsas.DefaultParams()
+	params.FIR = 0.2 // outages, so the merged Stats carries records
+	base := Options{Config: jsas.Config1, Params: params, Seed: 29, Injections: 402}
+	const replicas = 4
+	run := func(parallelism int) *Report {
+		rep, err := RunReplicated(ReplicatedOptions{Options: base, Replicas: replicas, Parallelism: parallelism})
+		if err != nil {
+			t.Fatalf("RunReplicated(parallelism=%d): %v", parallelism, err)
+		}
+		return rep
+	}
+	rep1, rep4 := run(1), run(4)
+	if !reflect.DeepEqual(rep1.Stats, rep4.Stats) {
+		t.Fatal("merged Stats differ between parallelism 1 and 4")
+	}
+	var (
+		stats      []testbed.Stats
+		injections []Injection
+		samples    = map[string][]time.Duration{}
+	)
+	for i := 0; i < replicas; i++ {
+		opts := base
+		opts.Seed = ReplicaSeed(base.Seed, i)
+		opts.Injections = base.Injections / replicas
+		if i < base.Injections%replicas {
+			opts.Injections++
+		}
+		rep, err := Run(opts)
+		if err != nil {
+			t.Fatalf("replica %d: %v", i, err)
+		}
+		stats = append(stats, rep.Stats)
+		injections = append(injections, rep.Injections...)
+		for k, v := range rep.RecoveryTimes {
+			samples[k] = append(samples[k], v...)
+		}
+	}
+	if len(rep1.Stats.Outages) == 0 || len(rep1.Stats.Recoveries) == 0 {
+		t.Fatal("campaign produced no outage or recovery records to merge")
+	}
+	if !reflect.DeepEqual(rep1.Stats, testbed.MergeStats(stats...)) {
+		t.Error("merged Stats != MergeStats of the replicas' Stats")
+	}
+	if !reflect.DeepEqual(rep1.Injections, injections) {
+		t.Error("merged injections != the replicas' injections in replica order")
+	}
+	if !reflect.DeepEqual(rep1.RecoveryTimes, samples) {
+		t.Error("merged recovery times != the replicas' samples in replica order")
 	}
 }
 

@@ -2,6 +2,7 @@ package faultinject
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"testing"
 	"time"
@@ -123,31 +124,87 @@ func TestReplicatedTimeSeriesDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestReplicatedSharedProgressTracker: all replicas feed one tracker, and
-// the total completions equal the campaign's injection count at any
-// parallelism.
-func TestReplicatedSharedProgressTracker(t *testing.T) {
-	t.Parallel()
-	tr := progress.New(200, progress.WithStat("recovered"), progress.WithUnit("inj"))
-	rep, err := RunReplicated(ReplicatedOptions{
-		Options: Options{
-			Config:     jsas.Config1,
-			Params:     jsas.DefaultParams(),
-			Seed:       3,
-			Injections: 200,
-			Progress:   tr,
-		},
-		Replicas:    4,
-		Parallelism: 4,
-	})
-	if err != nil {
-		t.Fatalf("RunReplicated: %v", err)
-	}
-	if got := tr.Completed(); got != 200 {
-		t.Fatalf("tracker counted %d, want 200", got)
+// checkProgressMatchesReport: a tracker a campaign reported to ends at
+// the report, however the campaign stopped: one completion and one
+// verdict per pooled injection, and the running mean is exactly the
+// report's success rate. Progress advances in batches, so this holds
+// only if every exit path flushes the last partial batch.
+func checkProgressMatchesReport(t *testing.T, tr *progress.Tracker, rep *Report) {
+	t.Helper()
+	n := int64(len(rep.Injections))
+	if got := tr.Completed(); got != n {
+		t.Errorf("tracker completed %d, want %d (the report's injections)", got, n)
 	}
 	snap := tr.Snapshot()
+	if snap.StatN != n {
+		t.Errorf("tracker observed %d verdicts, want %d", snap.StatN, n)
+	}
 	if want := rep.SuccessRate(); snap.StatMean != want {
-		t.Fatalf("pooled running success rate %v != report %v", snap.StatMean, want)
+		t.Errorf("running success rate %v != report %v", snap.StatMean, want)
+	}
+}
+
+// TestCampaignProgressFlushedOnEveryExit: a finished campaign, a
+// campaign canceled mid-run and one whose cluster fails to settle all
+// leave the tracker at their report, each stopping off a batch boundary.
+func TestCampaignProgressFlushedOnEveryExit(t *testing.T) {
+	t.Parallel()
+	params := jsas.DefaultParams()
+	params.FIR = 0.2 // mixed verdicts, so the running mean is not trivially 0 or 1
+	for _, tc := range []struct {
+		name    string
+		ctx     context.Context
+		timeout time.Duration
+		wantErr bool
+	}{
+		{name: "finished", ctx: context.Background()},
+		{name: "canceled", ctx: &afterNCtx{Context: context.Background(), after: 100}, wantErr: true},
+		{name: "settle failure", ctx: context.Background(), timeout: time.Second, wantErr: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := progress.New(150, progress.WithStat("recovered"))
+			rep, err := RunCtx(tc.ctx, Options{
+				Config:          jsas.Config1,
+				Params:          params,
+				Seed:            4,
+				Injections:      150,
+				RecoveryTimeout: tc.timeout,
+				Progress:        tr,
+			})
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("err = %v, want error %v", err, tc.wantErr)
+			}
+			if rep == nil || len(rep.Injections)%progressBatch == 0 {
+				t.Fatalf("want a report ending off a %d-injection batch boundary", progressBatch)
+			}
+			checkProgressMatchesReport(t, tr, rep)
+		})
+	}
+}
+
+// TestReplicatedSharedProgressTracker: all replicas feed one tracker, and
+// it ends at the pooled report at any parallelism.
+func TestReplicatedSharedProgressTracker(t *testing.T) {
+	t.Parallel()
+	for _, parallelism := range []int{1, 4} {
+		tr := progress.New(1000, progress.WithStat("recovered"), progress.WithUnit("inj"))
+		rep, err := RunReplicated(ReplicatedOptions{
+			Options: Options{
+				Config:     jsas.Config1,
+				Params:     jsas.DefaultParams(),
+				Seed:       3,
+				Injections: 1000,
+				Progress:   tr,
+			},
+			Replicas:    4,
+			Parallelism: parallelism,
+		})
+		if err != nil {
+			t.Fatalf("parallelism %d: RunReplicated: %v", parallelism, err)
+		}
+		if len(rep.Injections) != 1000 {
+			t.Fatalf("parallelism %d: %d injections, want 1000", parallelism, len(rep.Injections))
+		}
+		checkProgressMatchesReport(t, tr, rep)
 	}
 }

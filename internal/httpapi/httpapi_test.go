@@ -84,6 +84,21 @@ func TestSolveRejectsBadDocument(t *testing.T) {
 	}
 }
 
+// TestSolveRejectsDeeplyNestedRate: a rate expression nesting past the
+// parser's cap is a malformed document (400), rejected before any
+// evaluation, however deep the nesting goes.
+func TestSolveRejectsDeeplyNestedRate(t *testing.T) {
+	t.Parallel()
+	doc := strings.Replace(flatModel, `"rate":"La"`, `"rate":"`+strings.Repeat("-", 100000)+`La"`, 1)
+	res, body := doRequest(t, http.MethodPost, "/v1/solve", doc)
+	if res.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400 (body %.200s)", res.StatusCode, body)
+	}
+	if !strings.Contains(string(body), "nests deeper") {
+		t.Errorf("body = %.200s, want the nesting error", body)
+	}
+}
+
 func TestSolveUnsolvableModelIs422(t *testing.T) {
 	t.Parallel()
 	// Well-formed but reducible: no way back from Down.

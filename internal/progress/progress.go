@@ -30,10 +30,11 @@ import (
 const z95 = 1.959963984540054
 
 // Tracker counts completed tasks toward a known total. All write-side
-// methods (Done, Add, Observe) are lock-free atomics and never allocate,
-// so drivers can call them per injection / per sample / per chunk without
-// measurable overhead; Snapshot (read side) takes a small mutex to smooth
-// the rate estimate and is meant to be called at human frequencies.
+// methods (Done, Add, Observe, ObserveSum) are lock-free atomics and
+// never allocate, so drivers can call them per injection / per sample /
+// per chunk without measurable overhead; Snapshot (read side) takes a
+// small mutex to smooth the rate estimate and is meant to be called at
+// human frequencies.
 //
 // The zero Tracker is not useful; construct with New. A nil *Tracker is
 // safe: every method is a no-op, so call sites thread `opts.Progress`
@@ -114,6 +115,19 @@ func (t *Tracker) Observe(v float64) {
 	t.statCount.Add(1)
 	addFloat(&t.statSum, v)
 	addFloat(&t.statSumSq, v*v)
+}
+
+// ObserveSum feeds n values at once, given their sum and sum of squares.
+// Drivers that batch integer-valued observations (0/1 verdicts) get the
+// same snapshot, bit for bit, as n Observe calls, while the sums stay
+// below 2^53. Safe for concurrent use.
+func (t *Tracker) ObserveSum(n int64, sum, sumSq float64) {
+	if t == nil || n <= 0 {
+		return
+	}
+	t.statCount.Add(n)
+	addFloat(&t.statSum, sum)
+	addFloat(&t.statSumSq, sumSq)
 }
 
 // addFloat CAS-accumulates a float64 stored as bits (the obs.Gauge idiom).

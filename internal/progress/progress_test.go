@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -196,6 +197,40 @@ func TestTrackerRunningStat(t *testing.T) {
 	if math.Abs(snap.StatHalfWidth-wantHW) > 1e-12 {
 		t.Fatalf("StatHalfWidth = %v, want %v", snap.StatHalfWidth, wantHW)
 	}
+}
+
+// TestObserveSumMatchesObserve: feeding 0/1 values as batched sums gives
+// the same snapshot, bit for bit, as one Observe per value, the contract
+// that lets campaigns report verdicts 64 at a time.
+func TestObserveSumMatchesObserve(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{1, 2, 63, 64, 65, 1000, 100003} {
+		clock := newFakeClock()
+		one := New(int64(n), WithClock(clock.Now), WithStat("recovered"))
+		batched := New(int64(n), WithClock(clock.Now), WithStat("recovered"))
+		var batchN, batchOnes int64
+		for i := 0; i < n; i++ {
+			v := 0.0
+			if rng.Float64() < 0.9 {
+				v = 1
+			}
+			one.Observe(v)
+			batchN++
+			batchOnes += int64(v)
+			if batchN == 64 || i == n-1 {
+				batched.ObserveSum(batchN, float64(batchOnes), float64(batchOnes))
+				batchN, batchOnes = 0, 0
+			}
+		}
+		clock.Advance(time.Second)
+		a, b := one.Snapshot(), batched.Snapshot()
+		if a != b || math.Float64bits(a.StatMean) != math.Float64bits(b.StatMean) ||
+			math.Float64bits(a.StatHalfWidth) != math.Float64bits(b.StatHalfWidth) {
+			t.Errorf("n=%d: ObserveSum snapshot %+v, Observe snapshot %+v", n, b, a)
+		}
+	}
+	var nilTracker *Tracker
+	nilTracker.ObserveSum(3, 2, 2) // no-op, no panic
 }
 
 func TestTrackerStatWithoutNameOmitted(t *testing.T) {

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/testbed"
 )
 
 // readModel returns the bytes of a shipped document under models/.
@@ -65,9 +67,10 @@ func TestParseRejectsTrailingData(t *testing.T) {
 	}
 }
 
-// addModelSeeds seeds a fuzz target with every shipped document.
-func addModelSeeds(f *testing.F) {
-	paths, err := filepath.Glob(filepath.Join("..", "..", "models", "*.json"))
+// addModelSeeds seeds a fuzz target with every shipped document under
+// models/ whose name matches pattern.
+func addModelSeeds(f *testing.F, pattern string) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "models", pattern))
 	if err != nil || len(paths) == 0 {
 		f.Fatalf("no seed documents: %v", err)
 	}
@@ -105,7 +108,7 @@ func checkFixpoint[D any](t *testing.T, d D, parse func([]byte) (D, error)) {
 // FuzzParse: Parse never panics, rejects only with an error, and every
 // document it accepts is a canonical fixpoint.
 func FuzzParse(f *testing.F) {
-	addModelSeeds(f)
+	addModelSeeds(f, "*.json")
 	parse := func(b []byte) (*Document, error) { return Parse(bytes.NewReader(b)) }
 	f.Fuzz(func(t *testing.T, b []byte) {
 		d, err := parse(b)
@@ -121,7 +124,7 @@ func FuzzParse(f *testing.F) {
 
 // FuzzParseHier is FuzzParse for hierarchical documents.
 func FuzzParseHier(f *testing.F) {
-	addModelSeeds(f)
+	addModelSeeds(f, "*.json")
 	parse := func(b []byte) (*HierDocument, error) { return ParseHier(bytes.NewReader(b)) }
 	f.Fuzz(func(t *testing.T, b []byte) {
 		d, err := parse(b)
@@ -132,6 +135,24 @@ func FuzzParseHier(f *testing.F) {
 			return
 		}
 		checkFixpoint(t, d, parse)
+	})
+}
+
+// FuzzParseDomains: ParseDomains never panics and rejects only with an
+// error and no domains. Campaign jobs take domains from the network, so
+// what it accepts must also go through testbed.ValidateDomains, the
+// campaign's structural check, without panicking.
+func FuzzParseDomains(f *testing.F) {
+	addModelSeeds(f, "domains-*.json")
+	f.Fuzz(func(t *testing.T, b []byte) {
+		domains, err := ParseDomains(bytes.NewReader(b))
+		if err != nil {
+			if domains != nil {
+				t.Fatalf("error %v with non-nil domains %+v", err, domains)
+			}
+			return
+		}
+		_ = testbed.ValidateDomains(domains, 2, 2)
 	})
 }
 

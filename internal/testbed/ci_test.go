@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -120,7 +121,7 @@ func TestStatsMergePoolsAccounting(t *testing.T) {
 		Outages:    []Outage{{Start: 5 * time.Hour, End: 7 * time.Hour, Cause: ComponentHADB}},
 		Recoveries: []Recovery{{Component: ComponentHADB, Kind: FailureHW, Success: false}},
 	}
-	m := a.Merge(b)
+	m := MergeStats(a, b)
 	if m.UpTime != 30*time.Hour || m.DownTime != 3*time.Hour {
 		t.Errorf("merged durations = %v/%v", m.UpTime, m.DownTime)
 	}
@@ -136,10 +137,50 @@ func TestStatsMergePoolsAccounting(t *testing.T) {
 	if len(m.Recoveries) != 2 {
 		t.Errorf("merged recoveries = %+v", m.Recoveries)
 	}
-	// Merge must not alias the inputs' slices.
+	// MergeStats must not alias the inputs' slices.
 	m.Outages[0].Cause = ComponentHADB
 	if a.Outages[0].Cause != ComponentAS {
-		t.Error("Merge aliased the receiver's Outages slice")
+		t.Error("MergeStats aliased the first part's Outages slice")
+	}
+}
+
+// TestMergeStatsMatchesPairwiseFold: merging k parts at once equals
+// folding them two at a time in order, the definition MergeStats sizes
+// once instead of re-copying per part.
+func TestMergeStatsMatchesPairwiseFold(t *testing.T) {
+	t.Parallel()
+	var parts []Stats
+	for i := 0; i < 5; i++ {
+		d := time.Duration(i+1) * time.Minute
+		p := Stats{
+			UpTime: 100 * d, DownTime: d,
+			RequestsServed: 0.1 * float64(i+1), RequestsFailed: 0.3 * float64(i),
+			SessionFailovers: i, Partitions: 2 * i,
+			SessionRecoverySeconds: 0.7 * float64(i+1),
+		}
+		for j := 0; j < i; j++ { // part 0 has no records
+			p.Outages = append(p.Outages, Outage{Start: d, End: 2 * d, Cause: ComponentHADB, Class: CauseCommonCause})
+			p.Recoveries = append(p.Recoveries, Recovery{Component: ComponentAS, Kind: FailureOS, Duration: d, Success: j%2 == 0})
+		}
+		parts = append(parts, p)
+	}
+	// The oracle: the pairwise fold, starting from the zero Stats.
+	var fold Stats
+	for _, p := range parts {
+		fold = Stats{
+			UpTime:                 fold.UpTime + p.UpTime,
+			DownTime:               fold.DownTime + p.DownTime,
+			RequestsServed:         fold.RequestsServed + p.RequestsServed,
+			RequestsFailed:         fold.RequestsFailed + p.RequestsFailed,
+			SessionFailovers:       fold.SessionFailovers + p.SessionFailovers,
+			Partitions:             fold.Partitions + p.Partitions,
+			SessionRecoverySeconds: fold.SessionRecoverySeconds + p.SessionRecoverySeconds,
+			Outages:                append(append([]Outage{}, fold.Outages...), p.Outages...),
+			Recoveries:             append(append([]Recovery{}, fold.Recoveries...), p.Recoveries...),
+		}
+	}
+	if got := MergeStats(parts...); !reflect.DeepEqual(got, fold) {
+		t.Fatalf("MergeStats = %+v\nwant pairwise fold %+v", got, fold)
 	}
 }
 

@@ -163,7 +163,8 @@ type Cluster struct {
 	lastChange time.Duration
 	upTime     time.Duration
 	downTime   time.Duration
-	openOutage *Outage
+	openOutage Outage // the outage in progress, when outageOpen
+	outageOpen bool
 	outages    []Outage
 	recoveries []Recovery
 
@@ -311,7 +312,7 @@ func New(opts Options) (*Cluster, error) {
 	c.systemUp = true
 	c.lastChange = 0
 	c.upTime, c.downTime = 0, 0
-	c.openOutage = nil
+	c.outageOpen = false
 	c.outages = c.outages[:0]
 	c.recoveries = c.recoveries[:0]
 	c.sessionFailovers = 0
@@ -490,7 +491,7 @@ func (c *Cluster) Healthy() bool {
 // copying the outage history.
 func (c *Cluster) OutageCount() int {
 	n := len(c.outages)
-	if c.openOutage != nil {
+	if c.outageOpen {
 		n++
 	}
 	return n
@@ -532,14 +533,14 @@ func (c *Cluster) stateChanged(cause Component) {
 			// fault the system would still be serving.
 			class = CausePartition
 		}
-		c.openOutage = &Outage{Start: now, Cause: cause, Class: class}
+		c.openOutage, c.outageOpen = Outage{Start: now, Cause: cause, Class: class}, true
 		c.emit(Event{Type: EventOutageStart, Component: cause, Target: "system", Class: class})
 		return
 	}
-	if c.openOutage != nil {
+	if c.outageOpen {
 		c.openOutage.End = now
-		c.outages = append(c.outages, *c.openOutage)
-		c.openOutage = nil
+		c.outages = append(c.outages, c.openOutage)
+		c.outageOpen = false
 		c.emit(Event{Type: EventOutageEnd, Component: cause, Target: "system"})
 	}
 }
@@ -586,8 +587,8 @@ func (c *Cluster) Stats() Stats {
 	c.accountInterval()
 	outages := make([]Outage, len(c.outages))
 	copy(outages, c.outages)
-	if c.openOutage != nil {
-		o := *c.openOutage
+	if c.outageOpen {
+		o := c.openOutage
 		o.End = c.sim.Now()
 		outages = append(outages, o)
 	}

@@ -1,29 +1,36 @@
 package testbed
 
-// Merge pools another cluster's measurements into a copy of s, returning
-// the combined Stats. Replicated campaigns and longevity series use it to
-// aggregate per-replica accounting into one report: durations, request
-// counters, and failover totals add; outage and recovery records
-// concatenate in the order given (callers merge replicas by ascending
-// replica index, keeping the result deterministic).
+// MergeStats pools several clusters' measurements into one Stats.
+// Replicated campaigns use it to aggregate per-replica accounting into
+// one report: durations, request counters, and failover totals add;
+// outage and recovery records concatenate in the order given (callers
+// pass replicas by ascending replica index, keeping the result
+// deterministic). Each record list is sized once, so merging k parts
+// copies every record once, and the result never aliases a part.
 //
 // The merged Outages list interleaves independent virtual timelines, so
 // time-ordered analyses of a single run — AvailabilityCI's renewal cycles
 // in particular — are only meaningful on per-replica Stats, not on a
 // merged one. Ratio quantities (Availability) and totals remain exact.
-func (s Stats) Merge(o Stats) Stats {
-	merged := Stats{
-		UpTime:                 s.UpTime + o.UpTime,
-		DownTime:               s.DownTime + o.DownTime,
-		RequestsServed:         s.RequestsServed + o.RequestsServed,
-		RequestsFailed:         s.RequestsFailed + o.RequestsFailed,
-		SessionFailovers:       s.SessionFailovers + o.SessionFailovers,
-		Partitions:             s.Partitions + o.Partitions,
-		SessionRecoverySeconds: s.SessionRecoverySeconds + o.SessionRecoverySeconds,
+func MergeStats(parts ...Stats) Stats {
+	var merged Stats
+	outages, recoveries := 0, 0
+	for _, p := range parts {
+		outages += len(p.Outages)
+		recoveries += len(p.Recoveries)
 	}
-	merged.Outages = make([]Outage, 0, len(s.Outages)+len(o.Outages))
-	merged.Outages = append(append(merged.Outages, s.Outages...), o.Outages...)
-	merged.Recoveries = make([]Recovery, 0, len(s.Recoveries)+len(o.Recoveries))
-	merged.Recoveries = append(append(merged.Recoveries, s.Recoveries...), o.Recoveries...)
+	merged.Outages = make([]Outage, 0, outages)
+	merged.Recoveries = make([]Recovery, 0, recoveries)
+	for _, p := range parts {
+		merged.UpTime += p.UpTime
+		merged.DownTime += p.DownTime
+		merged.RequestsServed += p.RequestsServed
+		merged.RequestsFailed += p.RequestsFailed
+		merged.SessionFailovers += p.SessionFailovers
+		merged.Partitions += p.Partitions
+		merged.SessionRecoverySeconds += p.SessionRecoverySeconds
+		merged.Outages = append(merged.Outages, p.Outages...)
+		merged.Recoveries = append(merged.Recoveries, p.Recoveries...)
+	}
 	return merged
 }

@@ -22,7 +22,7 @@ import (
 // Feed it events via Observe (compose with a tracer using MultiObserver),
 // close the final partial window with FinishAt, and merge per-replica
 // series in ascending replica order with Merge — the same deterministic
-// convention as Stats.Merge and trace.Recorder.Import.
+// convention as MergeStats and trace.Recorder.Import.
 type TimeSeries struct {
 	width time.Duration
 	cap   int
@@ -123,12 +123,18 @@ func (ts *TimeSeries) Cap() int { return ts.cap }
 // Observe consumes one cluster event. Events must arrive in nondecreasing
 // sim-time order (the cluster emits them that way). Use it directly as a
 // testbed Observer: opts.Observer = ts.Observe.
+//
+// Time is accounted only where the up/down state changes, at outage
+// starts and ends; a failure only notes the component and kind that a
+// following outage is attributed to, and every other event is ignored.
+// Windows are therefore complete only after FinishAt: read the series
+// (Windows, Evicted, WriteJSON, Merge) once the run has finished.
 func (ts *TimeSeries) Observe(e Event) {
-	ts.advance(e.Time)
 	switch e.Type {
 	case EventFailure:
 		ts.st.lastComp, ts.st.lastKind, ts.st.haveLast = e.Component, e.Kind, true
 	case EventOutageStart:
+		ts.advance(e.Time)
 		if !ts.st.down {
 			ts.st.down = true
 			ts.st.causeClass = e.Class
@@ -143,6 +149,7 @@ func (ts *TimeSeries) Observe(e Event) {
 			}
 		}
 	case EventOutageEnd:
+		ts.advance(e.Time)
 		ts.st.down = false
 		ts.st.haveLast = false
 	}
@@ -150,6 +157,8 @@ func (ts *TimeSeries) Observe(e Event) {
 
 // FinishAt accounts the remaining span up to the end of the observation
 // horizon and must be called once when the run completes (Stats() time).
+// It completes the series: until then the span since the last outage
+// boundary is unaccounted.
 func (ts *TimeSeries) FinishAt(t time.Duration) {
 	ts.advance(t)
 }
@@ -268,7 +277,7 @@ func (ts *TimeSeries) Evicted() WindowAggregate { return ts.evicted }
 // time zero, so replica windows align index-for-index and merged windows
 // accumulate more than one window-width of exposure — availability stays
 // the exact up fraction. Merge replicas in ascending replica order (the
-// Stats.Merge convention) and the result is deterministic at any
+// MergeStats convention) and the result is deterministic at any
 // parallelism. Windows falling off the merged ring fold into Evicted.
 func (ts *TimeSeries) Merge(o *TimeSeries) {
 	if o == nil {

@@ -23,6 +23,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/spec
 	$(GO) test -run '^$$' -fuzz '^FuzzParseHier$$' -fuzztime 10s ./internal/spec
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDomains$$' -fuzztime 10s ./internal/spec
+	$(GO) test -run '^$$' -fuzz '^FuzzExprParse$$' -fuzztime 10s ./internal/expr
 
 # gofmt cleanliness: fail listing any file that needs formatting.
 fmt-check:

@@ -642,33 +642,6 @@ func BenchmarkHierDocumentSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkLumpProduct reduces a 3-replica product model.
-func BenchmarkLumpProduct(b *testing.B) {
-	p := DefaultParams()
-	pairS, err := jsas.BuildHADBPair(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	flat, err := hier.Product(
-		[]*reward.Structure{pairS, pairS, pairS},
-		func(up []bool) bool { return up[0] && up[1] && up[2] },
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var states int
-	for i := 0; i < b.N; i++ {
-		lumped, _, err := flat.Lumped()
-		if err != nil {
-			b.Fatal(err)
-		}
-		states = lumped.Model().NumStates()
-	}
-	b.ReportMetric(float64(flat.Model().NumStates()), "flat-states")
-	b.ReportMetric(float64(states), "lumped-states")
-}
-
 // BenchmarkAssessmentReport generates the full Markdown assessment.
 func BenchmarkAssessmentReport(b *testing.B) {
 	for i := 0; i < b.N; i++ {

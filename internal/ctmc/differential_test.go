@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 
+	"repro/internal/gthref"
 	"repro/internal/sparse"
 )
 
@@ -124,4 +126,44 @@ func TestDenseGaussSeidelDifferential(t *testing.T) {
 	if refusals > maxRefusals {
 		t.Errorf("gauss-seidel refused %d of %d chains, want at most %d", refusals, trials, maxRefusals)
 	}
+}
+
+// TestSteadyStateMatchesReference solves random stiff chains of 2–40
+// states — the same chains as TestDenseGaussSeidelDifferential — and
+// requires every π entry, however tiny, to agree with a 256-bit GTH
+// solve to 1e-12 relative. The residual check above bounds only the
+// absolute error, which says nothing about an entry of 1e-20.
+func TestSteadyStateMatchesReference(t *testing.T) {
+	t.Parallel()
+	const (
+		trials = 300
+		tol    = 1e-12
+	)
+	rng := rand.New(rand.NewSource(2004))
+	var worst float64
+	for trial := 0; trial < trials; trial++ {
+		n := 2 + rng.Intn(39)
+		m := randomIrreducible(t, rng, n)
+		pi, err := m.SteadyState(SolveOptions{})
+		if err != nil {
+			t.Fatalf("trial %d (%d states): %v", trial, n, err)
+		}
+		ref := make([]gthref.Transition, 0, m.NumTransitions())
+		for _, tr := range m.Transitions() {
+			ref = append(ref, gthref.Transition{From: int(tr.From), To: int(tr.To), Rate: tr.Rate})
+		}
+		want := gthref.Stationary(n, ref, 256)
+		for i, p := range pi {
+			diff := new(big.Float).Sub(new(big.Float).SetFloat64(p), want[i])
+			rel, _ := diff.Quo(diff, want[i]).Float64()
+			rel = math.Abs(rel)
+			worst = math.Max(worst, rel)
+			if rel > tol {
+				w, _ := want[i].Float64()
+				t.Fatalf("trial %d (%d states): π[%d] = %.17g, reference %.17g (relative error %.3g > %g)",
+					trial, n, i, p, w, rel, tol)
+			}
+		}
+	}
+	t.Logf("worst relative error %.3g over %d chains", worst, trials)
 }

@@ -1,8 +1,8 @@
 // Package ctmc implements continuous-time Markov chains: model building,
-// generator-matrix assembly, steady-state and transient solution, mean time
-// to absorption, state-set entry frequencies, and the equivalent two-state
-// (failure rate, recovery rate) abstraction that hierarchical availability
-// models are built from.
+// generator-matrix assembly, steady-state and transient solution,
+// state-set entry frequencies, and the equivalent two-state (failure rate,
+// recovery rate) abstraction that hierarchical availability models are
+// built from.
 //
 // It is the computational core of the RAScad-equivalent modeling engine
 // described in DESIGN.md.
@@ -14,7 +14,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/numeric"
 	"repro/internal/sparse"
 )
 
@@ -228,18 +227,6 @@ func (m *Model) Rate(from, to State) float64 {
 		}
 	}
 	return 0
-}
-
-// Generator assembles the dense infinitesimal generator matrix Q
-// (off-diagonal q_ij = rate i→j, diagonal q_ii = −Σ_j q_ij).
-func (m *Model) Generator() *numeric.Matrix {
-	n := m.NumStates()
-	q := numeric.NewMatrix(n, n)
-	for _, tr := range m.transitions {
-		q.Add(int(tr.From), int(tr.To), tr.Rate)
-		q.Add(int(tr.From), int(tr.From), -tr.Rate)
-	}
-	return q
 }
 
 // SparseGenerator assembles Q in CSR form for the Gauss–Seidel solver.

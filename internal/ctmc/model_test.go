@@ -114,23 +114,15 @@ func TestBuilderErrors(t *testing.T) {
 func TestGenerator(t *testing.T) {
 	t.Parallel()
 	m, up, down := twoState(t, 2, 5)
-	q := m.Generator()
+	q, err := m.SparseGenerator()
+	if err != nil {
+		t.Fatalf("SparseGenerator: %v", err)
+	}
 	if q.At(int(up), int(up)) != -2 || q.At(int(up), int(down)) != 2 {
 		t.Errorf("row up = [%v %v], want [-2 2]", q.At(0, 0), q.At(0, 1))
 	}
 	if q.At(int(down), int(up)) != 5 || q.At(int(down), int(down)) != -5 {
 		t.Errorf("row down = [%v %v], want [5 -5]", q.At(1, 0), q.At(1, 1))
-	}
-	sq, err := m.SparseGenerator()
-	if err != nil {
-		t.Fatalf("SparseGenerator: %v", err)
-	}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			if sq.At(i, j) != q.At(i, j) {
-				t.Errorf("sparse[%d,%d] = %v, dense %v", i, j, sq.At(i, j), q.At(i, j))
-			}
-		}
 	}
 }
 
@@ -223,7 +215,8 @@ func TestEntryExitFrequency(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SteadyState: %v", err)
 	}
-	downSet := map[State]bool{down: true}
+	downSet := make([]bool, m.NumStates())
+	downSet[down] = true
 	fIn := m.EntryFrequency(pi, downSet)
 	fOut := m.ExitFrequency(pi, downSet)
 	want := lambda * mu / (lambda + mu) // = pi_up * lambda
@@ -246,7 +239,9 @@ func TestEquivalentRatesTwoStateIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SteadyState: %v", err)
 	}
-	le, me, err := m.EquivalentRates(pi, map[State]bool{down: true})
+	downSet := make([]bool, m.NumStates())
+	downSet[down] = true
+	le, me, err := EquivalentRatesFrom(pi[down], m.EntryFrequency(pi, downSet))
 	if err != nil {
 		t.Fatalf("EquivalentRates: %v", err)
 	}
@@ -281,8 +276,9 @@ func TestEquivalentRatesPreserveAvailability(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SteadyState: %v", err)
 	}
-	downSet := map[State]bool{down: true, repair: true}
-	le, me, err := m.EquivalentRates(pi, downSet)
+	downSet := make([]bool, m.NumStates())
+	downSet[down], downSet[repair] = true, true
+	le, me, err := EquivalentRatesFrom(pi[down]+pi[repair], m.EntryFrequency(pi, downSet))
 	if err != nil {
 		t.Fatalf("EquivalentRates: %v", err)
 	}
@@ -295,9 +291,13 @@ func TestEquivalentRatesPreserveAvailability(t *testing.T) {
 
 func TestEquivalentRatesErrors(t *testing.T) {
 	t.Parallel()
-	m, _, down := twoState(t, 1, 1)
-	if _, _, err := m.EquivalentRates([]float64{1}, map[State]bool{down: true}); !errors.Is(err, ErrBadModel) {
-		t.Errorf("short pi: err = %v, want ErrBadModel", err)
+	// A chain that is down with probability 1 has no up macro-state.
+	if _, _, err := EquivalentRatesFrom(1, 0); !errors.Is(err, ErrBadModel) {
+		t.Errorf("P(down) = 1: err = %v, want ErrBadModel", err)
+	}
+	// A chain that is never down has no recovery rate.
+	if la, mu, err := EquivalentRatesFrom(0, 0); err != nil || la != 0 || mu != 0 {
+		t.Errorf("P(down) = 0: (%v, %v, %v), want (0, 0, nil)", la, mu, err)
 	}
 }
 
@@ -317,17 +317,5 @@ func TestStatesList(t *testing.T) {
 	states := m.States()
 	if len(states) != 2 || states[0] != 0 || states[1] != 1 {
 		t.Errorf("States = %v", states)
-	}
-}
-
-func TestProbabilityOf(t *testing.T) {
-	t.Parallel()
-	pi := []float64{0.2, 0.3, 0.5}
-	if got := ProbabilityOf(pi, []State{0, 2}); math.Abs(got-0.7) > 1e-15 {
-		t.Errorf("ProbabilityOf = %v, want 0.7", got)
-	}
-	// Out-of-range states are ignored.
-	if got := ProbabilityOf(pi, []State{5}); got != 0 {
-		t.Errorf("ProbabilityOf(out of range) = %v, want 0", got)
 	}
 }

@@ -140,14 +140,7 @@ func (r *Rerater) SolveDense(s *Solver, pi []float64) error {
 	return nil
 }
 
-// EntryFrequency is Model.EntryFrequency over the re-rated transitions,
-// with the target set given as one flag per state.
+// EntryFrequency is Model.EntryFrequency over the re-rated transitions.
 func (r *Rerater) EntryFrequency(pi []float64, target []bool) float64 {
-	var f float64
-	for _, tr := range r.transitions {
-		if !target[tr.From] && target[tr.To] {
-			f += pi[tr.From] * tr.Rate
-		}
-	}
-	return f
+	return crossingFrequency(r.transitions, pi, target, false)
 }

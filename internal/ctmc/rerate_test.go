@@ -70,7 +70,7 @@ func TestRerateMatchesBuild(t *testing.T) {
 			t.Errorf("π[%d] = %v, want %v", i, gp[i], wp[i])
 		}
 	}
-	if got, w := r.EntryFrequency(wp, []bool{false, false, true}), want.EntryFrequency(wp, map[State]bool{2: true}); got != w {
+	if got, w := r.EntryFrequency(wp, []bool{false, false, true}), want.EntryFrequency(wp, []bool{false, false, true}); got != w {
 		t.Errorf("entry frequency %v, want %v", got, w)
 	}
 	if err := r.SolveDense(nil, make([]float64, 2)); !errors.Is(err, ErrBadModel) {

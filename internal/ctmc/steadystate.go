@@ -4,9 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
-	"repro/internal/numeric"
 	"repro/internal/obs"
 	"repro/internal/sparse"
 	"repro/internal/trace"
@@ -322,47 +322,86 @@ func solveDense(s *Solver, n int, transitions []Transition, pi []float64) error 
 			pi[i+1+k] += p * v
 		}
 	}
-	numeric.Normalize(pi)
-	if !numeric.AllFinite(pi) {
+	normalize(pi)
+	if !allFinite(pi) {
 		return fmt.Errorf("steady state produced non-finite probabilities: %w", ErrNotIrreducible)
 	}
 	return nil
 }
 
-// ProbabilityOf sums π over the given states.
-func ProbabilityOf(pi []float64, states []State) float64 {
-	var p float64
-	for _, s := range states {
-		if int(s) >= 0 && int(s) < len(pi) {
-			p += pi[s]
+// normalize scales v in place so its elements sum to 1. A zero vector is
+// left unchanged.
+func normalize(v []float64) {
+	var s float64
+	for _, x := range v {
+		s += x
+	}
+	if s == 0 {
+		return
+	}
+	f := 1 / s
+	for i := range v {
+		v[i] *= f
+	}
+}
+
+// allFinite reports whether every element of v is finite (no NaN/Inf).
+func allFinite(v []float64) bool {
+	for _, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
 		}
 	}
-	return p
+	return true
 }
 
 // EntryFrequency returns the steady-state frequency (events per unit time)
 // of transitions that enter the target set from outside it: Σ_{i∉T, j∈T}
-// π_i·q_ij. For availability models this is the system failure frequency
-// when T is the set of down states.
-func (m *Model) EntryFrequency(pi []float64, target map[State]bool) float64 {
-	var f float64
-	for _, tr := range m.transitions {
-		if !target[tr.From] && target[tr.To] {
-			f += pi[tr.From] * tr.Rate
-		}
-	}
-	return f
+// π_i·q_ij, the target set given as one flag per state. For availability
+// models this is the system failure frequency when T is the set of down
+// states.
+func (m *Model) EntryFrequency(pi []float64, target []bool) float64 {
+	return crossingFrequency(m.transitions, pi, target, false)
 }
 
 // ExitFrequency returns the steady-state frequency of transitions leaving
 // the target set: Σ_{i∈T, j∉T} π_i·q_ij. In steady state this equals
 // EntryFrequency for the same set (flow balance).
-func (m *Model) ExitFrequency(pi []float64, target map[State]bool) float64 {
+func (m *Model) ExitFrequency(pi []float64, target []bool) float64 {
+	return crossingFrequency(m.transitions, pi, target, true)
+}
+
+// crossingFrequency sums π_i·q_ij, in transition order, over the
+// transitions that cross the target set's boundary: those leaving it when
+// leaving is set, else those entering it.
+func crossingFrequency(transitions []Transition, pi []float64, target []bool, leaving bool) float64 {
 	var f float64
-	for _, tr := range m.transitions {
-		if target[tr.From] && !target[tr.To] {
+	for _, tr := range transitions {
+		if target[tr.From] == leaving && target[tr.To] != leaving {
 			f += pi[tr.From] * tr.Rate
 		}
 	}
 	return f
+}
+
+// EquivalentRatesFrom reduces a chain to a two-state (up, down)
+// abstraction, the RAScad hierarchical-modeling primitive, from its
+// steady-state down probability and failure frequency (the entry
+// frequency of its down set):
+//
+//	λ_eq = freq / P(up)   (rate of leaving the up macro-state)
+//	μ_eq = freq / P(down) (rate of leaving the down macro-state; 0 when P(down) = 0)
+//
+// so that a two-state chain with these rates has the same steady-state
+// availability P(up) and the same failure frequency as the full model.
+func EquivalentRatesFrom(pDown, freq float64) (lambdaEq, muEq float64, err error) {
+	pUp := 1 - pDown
+	if pUp <= 0 {
+		return 0, 0, fmt.Errorf("no steady-state up probability: %w", ErrBadModel)
+	}
+	lambdaEq = freq / pUp
+	if pDown > 0 {
+		muEq = freq / pDown
+	}
+	return lambdaEq, muEq, nil
 }

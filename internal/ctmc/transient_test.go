@@ -185,86 +185,3 @@ func TestIntervalAvailability(t *testing.T) {
 		t.Errorf("negative t: err = %v", err)
 	}
 }
-
-func TestMeanTimeToAbsorption(t *testing.T) {
-	t.Parallel()
-	// Sequential chain A→B→C with rates 2 and 4; E[T_A] = 1/2+1/4.
-	b := NewBuilder()
-	a, bb, c := b.State("A"), b.State("B"), b.State("C")
-	b.Transition(a, bb, 2)
-	b.Transition(bb, c, 4)
-	m, err := b.Build()
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	mtta, err := m.MeanTimeToAbsorption(map[State]bool{c: true})
-	if err != nil {
-		t.Fatalf("MTTA: %v", err)
-	}
-	if math.Abs(mtta[a]-0.75) > 1e-12 {
-		t.Errorf("E[T_A] = %v, want 0.75", mtta[a])
-	}
-	if math.Abs(mtta[bb]-0.25) > 1e-12 {
-		t.Errorf("E[T_B] = %v, want 0.25", mtta[bb])
-	}
-}
-
-func TestMeanTimeToAbsorptionUnreachable(t *testing.T) {
-	t.Parallel()
-	b := NewBuilder()
-	a, bb, c := b.State("A"), b.State("B"), b.State("C")
-	b.Transition(a, bb, 1)
-	b.Transition(bb, a, 1)
-	_ = c // C unreachable and absorbing... but A,B can't reach it.
-	b.Transition(c, a, 1)
-	m, err := b.Build()
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	if _, err := m.MeanTimeToAbsorption(map[State]bool{c: true}); err == nil {
-		t.Error("MTTA with unreachable absorbing set should error")
-	}
-	if _, err := m.MeanTimeToAbsorption(nil); !errors.Is(err, ErrBadModel) {
-		t.Errorf("MTTA(nil) err = %v, want ErrBadModel", err)
-	}
-}
-
-func TestAbsorptionProbabilities(t *testing.T) {
-	t.Parallel()
-	// A splits to B (rate 1) and C (rate 3): P(absorb B) = 1/4.
-	b := NewBuilder()
-	a, bb, c := b.State("A"), b.State("B"), b.State("C")
-	b.Transition(a, bb, 1)
-	b.Transition(a, c, 3)
-	m, err := b.Build()
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	probs, err := m.AbsorptionProbabilities(map[State]bool{bb: true, c: true})
-	if err != nil {
-		t.Fatalf("AbsorptionProbabilities: %v", err)
-	}
-	if math.Abs(probs[a][bb]-0.25) > 1e-12 {
-		t.Errorf("P(A→B) = %v, want 0.25", probs[a][bb])
-	}
-	if math.Abs(probs[a][c]-0.75) > 1e-12 {
-		t.Errorf("P(A→C) = %v, want 0.75", probs[a][c])
-	}
-	if _, err := m.AbsorptionProbabilities(nil); !errors.Is(err, ErrBadModel) {
-		t.Errorf("nil absorbing: err = %v, want ErrBadModel", err)
-	}
-}
-
-// TestMTTAMatchesSimulationStructure: for the two-state repairable model,
-// MTTF from Up equals 1/λ.
-func TestMTTATwoState(t *testing.T) {
-	t.Parallel()
-	m, up, down := twoState(t, 0.25, 100)
-	mtta, err := m.MeanTimeToAbsorption(map[State]bool{down: true})
-	if err != nil {
-		t.Fatalf("MTTA: %v", err)
-	}
-	if math.Abs(mtta[up]-4) > 1e-12 {
-		t.Errorf("MTTF = %v, want 4", mtta[up])
-	}
-}

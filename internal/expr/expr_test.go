@@ -188,6 +188,50 @@ func TestStringRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStringMinimalParentheses: String adds only the parentheses the
+// tree needs, so a rendering re-parses to itself, and an expression
+// nesting close to the parser's cap still re-parses: a right-deep '^'
+// chain rendered with a parenthesis around every operand would nest
+// twice as deep as its source.
+func TestStringMinimalParentheses(t *testing.T) {
+	t.Parallel()
+	for src, want := range map[string]string{
+		"(-a)^b":   "(-a) ^ b",
+		"-a^b":     "-a ^ b",
+		"-(a*b)":   "-(a * b)",
+		"(a^b)^c":  "(a ^ b) ^ c",
+		"a^b^c":    "a ^ b ^ c",
+		"a-(b-c)":  "a - (b - c)",
+		"(a-b)-c":  "a - b - c",
+		"a*-b+c":   "a * -b + c",
+		"(a/b)*c":  "a / b * c",
+		"a/(b*c)":  "a / (b * c)",
+		"(a+b)*2":  "(a + b) * 2",
+		"-(-a)^2":  "-(-a) ^ 2",
+		"-a^b*c":   "-a ^ b * c",
+		"min(a,b)": "min(a, b)",
+	} {
+		if got := MustParse(src).String(); got != want {
+			t.Errorf("Parse(%q).String() = %q, want %q", src, got, want)
+		} else if again := MustParse(got).String(); again != got {
+			t.Errorf("%q re-renders as %q", got, again)
+		}
+	}
+	for _, src := range []string{
+		strings.Repeat("a^", maxNesting-1) + "a",
+		strings.Repeat("-a^", maxNesting/2-1) + "a",
+		strings.Repeat("a+b*(", maxNesting/3) + "a" + strings.Repeat(")", maxNesting/3),
+	} {
+		e, err := Parse(src)
+		if err != nil {
+			t.Fatalf("Parse(%.20q…): %v", src, err)
+		}
+		if _, err := Parse(e.String()); err != nil {
+			t.Errorf("rendering of %.20q… does not re-parse: %v", src, err)
+		}
+	}
+}
+
 // TestRandomExprRoundTrip property-tests String/Parse/Eval agreement on
 // randomly generated ASTs.
 func TestRandomExprRoundTrip(t *testing.T) {

@@ -86,7 +86,12 @@ func (u *unaryNode) Eval(env Env) (float64, error) {
 	}
 	return -v, nil
 }
-func (u *unaryNode) String() string               { return "-" + parenthesize(u.expr) }
+func (u *unaryNode) String() string {
+	if b, ok := u.expr.(*binaryNode); ok && b.power() < unaryPower {
+		return "-(" + b.String() + ")"
+	}
+	return "-" + u.expr.String()
+}
 func (u *unaryNode) vars(set map[string]struct{}) { u.expr.vars(set) }
 
 type binaryNode struct {
@@ -121,8 +126,37 @@ func (b *binaryNode) Eval(env Env) (float64, error) {
 	return 0, &EvalError{Op: string(b.op), Message: "unknown operator"}
 }
 
+// String renders b with only the parentheses its tree needs, so that the
+// rendering re-parses to the same tree and nests no deeper than any
+// source text of it.
 func (b *binaryNode) String() string {
-	return fmt.Sprintf("%s %c %s", parenthesize(b.left), b.op, parenthesize(b.right))
+	lp, rp, _ := infixPower(string(b.op))
+	left := b.left.String()
+	switch l := b.left.(type) {
+	case *binaryNode:
+		// The left operand's operator keeps its right operand from b's
+		// operator only when it binds tighter.
+		if _, lrp, _ := infixPower(string(l.op)); lrp <= lp {
+			left = "(" + left + ")"
+		}
+	case *unaryNode:
+		// A unary minus would take b's operator into its operand.
+		if unaryPower <= lp {
+			left = "(" + left + ")"
+		}
+	}
+	right := b.right.String()
+	if r, ok := b.right.(*binaryNode); ok && r.power() < rp {
+		right = "(" + right + ")"
+	}
+	return left + " " + string(b.op) + " " + right
+}
+
+// power is the left binding power of b's operator: b renders without
+// parentheses as an operand parsed at any power up to it.
+func (b *binaryNode) power() int {
+	lp, _, _ := infixPower(string(b.op))
+	return lp
 }
 func (b *binaryNode) vars(set map[string]struct{}) {
 	b.left.vars(set)
@@ -198,15 +232,6 @@ func (c *callNode) String() string {
 func (c *callNode) vars(set map[string]struct{}) {
 	for _, a := range c.args {
 		a.vars(set)
-	}
-}
-
-func parenthesize(n Node) string {
-	switch n.(type) {
-	case *binaryNode:
-		return "(" + n.String() + ")"
-	default:
-		return n.String()
 	}
 }
 
@@ -300,18 +325,23 @@ func (p *parser) advance() error {
 	return nil
 }
 
-// binding powers; '^' is right-associative and binds tightest.
-func infixPower(k tokenKind) (left, right int, ok bool) {
-	switch k {
-	case tokPlus, tokMinus:
+// infixPower returns the binding powers of the binary operator whose
+// token text is op; '^' is right-associative and binds tightest.
+func infixPower(op string) (left, right int, ok bool) {
+	switch op {
+	case "+", "-":
 		return 1, 2, true
-	case tokStar, tokSlash:
+	case "*", "/":
 		return 3, 4, true
-	case tokCaret:
+	case "^":
 		return 6, 5, true // right associative
 	}
 	return 0, 0, false
 }
+
+// unaryPower is the binding power a unary minus parses its operand at:
+// tighter than '*' and '/', looser than '^'.
+const unaryPower = 5
 
 // parseExpr parses an expression whose operators bind at least minPower,
 // depth levels below the root.
@@ -324,7 +354,7 @@ func (p *parser) parseExpr(minPower, depth int) (Node, error) {
 		return nil, err
 	}
 	for {
-		lp, rp, ok := infixPower(p.cur.kind)
+		lp, rp, ok := infixPower(p.cur.text)
 		if !ok || lp < minPower {
 			return left, nil
 		}
@@ -372,7 +402,7 @@ func (p *parser) parsePrefix(depth int) (Node, error) {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		inner, err := p.parseExpr(5, depth+1) // binds tighter than * and /
+		inner, err := p.parseExpr(unaryPower, depth+1)
 		if err != nil {
 			return nil, err
 		}

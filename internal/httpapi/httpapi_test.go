@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/jobs"
 )
 
 func doRequest(t *testing.T, method, path, body string) (*http.Response, []byte) {
@@ -265,5 +267,33 @@ func TestJSASUncertaintyBadParams(t *testing.T) {
 		if res.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", q, res.StatusCode)
 		}
+	}
+}
+
+// infiniteMTBFModel solves fine but fails so rarely (rate 1e-320 per
+// hour) that its MTBF, 1/failure-frequency, overflows to +Inf.
+const infiniteMTBFModel = `{"name":"x","states":[{"name":"A","reward":1},{"name":"B","reward":0}],` +
+	`"transitions":[{"from":"A","to":"B","rate":"1e-320"},{"from":"B","to":"A","rate":"1"}]}`
+
+// TestSolveNonFiniteMeasureIs422: a measure that comes out non-finite is
+// a model error (422) naming the measure, both on POST /v1/solve and as
+// a solve job, never a JSON encoding failure.
+func TestSolveNonFiniteMeasureIs422(t *testing.T) {
+	t.Parallel()
+	res, body := doRequest(t, http.MethodPost, "/v1/solve", infiniteMTBFModel)
+	if res.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status = %d, want 422 (body %s)", res.StatusCode, body)
+	}
+	var e struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(body, &e); err != nil || !strings.Contains(e.Error, "MTBF is +Inf") {
+		t.Fatalf("body = %s (%v), want an error naming the infinite MTBF", body, err)
+	}
+
+	srv, eng := newJobServer(t, jobs.Config{Workers: 1})
+	st := waitJob(t, srv, eng, postJob(t, srv, "solve", infiniteMTBFModel).ID)
+	if st.State != jobs.StateFailed || st.Error != e.Error {
+		t.Errorf("solve job: state %q, error %q; want failed with %q", st.State, st.Error, e.Error)
 	}
 }

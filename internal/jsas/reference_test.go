@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/ctmc"
+	"repro/internal/gthref"
 	"repro/internal/reward"
 )
 
@@ -13,63 +14,15 @@ import (
 // after the ~2e6 operations of the 14-instance (561-state) reduction.
 const referencePrec = 256
 
-// gthReference returns m's stationary distribution by GTH state reduction
-// in prec-bit arithmetic: an independent, entrywise-accurate oracle for
-// the float64 solver. It eliminates states last to first exactly as the
-// dense solver does, skipping zero rates, so it costs about as many
-// operations (each ~100× dearer) as one float64 solve.
+// gthReference returns m's stationary distribution from the prec-bit
+// GTH reference solver.
 func gthReference(m *ctmc.Model, prec uint) []*big.Float {
-	n := m.NumStates()
-	q := make([]big.Float, n*n)
-	for i := range q {
-		q[i].SetPrec(prec)
+	trs := m.Transitions()
+	ref := make([]gthref.Transition, len(trs))
+	for i, tr := range trs {
+		ref[i] = gthref.Transition{From: int(tr.From), To: int(tr.To), Rate: tr.Rate}
 	}
-	for _, tr := range m.Transitions() {
-		q[int(tr.From)*n+int(tr.To)].SetFloat64(tr.Rate)
-	}
-	f := new(big.Float).SetPrec(prec)
-	t := new(big.Float).SetPrec(prec)
-	for k := n - 1; k > 0; k-- {
-		sum := &q[k*n+k] // holds s_k for the back-substitution
-		sum.SetInt64(0)
-		var cols []int
-		for j := 0; j < k; j++ {
-			if q[k*n+j].Sign() != 0 {
-				cols = append(cols, j)
-				sum.Add(sum, &q[k*n+j])
-			}
-		}
-		for i := 0; i < k; i++ {
-			if q[i*n+k].Sign() == 0 {
-				continue
-			}
-			f.Quo(&q[i*n+k], sum)
-			for _, j := range cols {
-				t.Mul(f, &q[k*n+j])
-				q[i*n+j].Add(&q[i*n+j], t)
-			}
-		}
-	}
-	pi := make([]*big.Float, n)
-	total := new(big.Float).SetPrec(prec)
-	for k := range pi {
-		pi[k] = new(big.Float).SetPrec(prec)
-		if k == 0 {
-			pi[k].SetInt64(1)
-		}
-		for i := 0; i < k; i++ {
-			t.Mul(pi[i], &q[i*n+k])
-			pi[k].Add(pi[k], t)
-		}
-		if k > 0 {
-			pi[k].Quo(pi[k], &q[k*n+k])
-		}
-		total.Add(total, pi[k])
-	}
-	for _, p := range pi {
-		p.Quo(p, total)
-	}
-	return pi
+	return gthref.Stationary(m.NumStates(), ref, prec)
 }
 
 // referenceMeasures returns the reference down-set probability and

@@ -11,6 +11,7 @@ package reward
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/ctmc"
 )
@@ -28,10 +29,10 @@ var ErrReward = errors.New("reward: invalid reward structure")
 
 // Structure assigns a reward rate to every state of a model.
 type Structure struct {
-	model   *ctmc.Model
-	rates   []float64
-	upSet   []ctmc.State
-	downSet map[ctmc.State]bool
+	model *ctmc.Model
+	rates []float64
+	// down flags the reward-0 states, one entry per state.
+	down []bool
 }
 
 // New builds a reward structure. rates must have one entry per model state,
@@ -44,19 +45,15 @@ func New(m *ctmc.Model, rates []float64) (*Structure, error) {
 		return nil, fmt.Errorf("got %d rates for %d states: %w", len(rates), m.NumStates(), ErrReward)
 	}
 	s := &Structure{
-		model:   m,
-		rates:   append([]float64(nil), rates...),
-		downSet: make(map[ctmc.State]bool),
+		model: m,
+		rates: append([]float64(nil), rates...),
+		down:  make([]bool, len(rates)),
 	}
 	for i, r := range rates {
 		if r < 0 {
 			return nil, fmt.Errorf("state %q has negative reward %g: %w", m.Name(ctmc.State(i)), r, ErrReward)
 		}
-		if r == 0 {
-			s.downSet[ctmc.State(i)] = true
-		} else {
-			s.upSet = append(s.upSet, ctmc.State(i))
-		}
+		s.down[i] = r == 0
 	}
 	return s, nil
 }
@@ -86,9 +83,11 @@ func (s *Structure) Rate(st ctmc.State) float64 { return s.rates[st] }
 
 // DownStates returns the set of reward-0 states.
 func (s *Structure) DownStates() map[ctmc.State]bool {
-	out := make(map[ctmc.State]bool, len(s.downSet))
-	for k, v := range s.downSet {
-		out[k] = v
+	out := make(map[ctmc.State]bool)
+	for i, d := range s.down {
+		if d {
+			out[ctmc.State(i)] = true
+		}
 	}
 	return out
 }
@@ -134,7 +133,7 @@ func (s *Structure) FromPi(pi []float64) (*Result, error) {
 		return nil, fmt.Errorf("pi has %d entries for %d states: %w", len(pi), s.model.NumStates(), ErrReward)
 	}
 	res := &Result{Pi: append([]float64(nil), pi...)}
-	if err := Measure(res, pi, s.rates, s.model.EntryFrequency(pi, s.downSet)); err != nil {
+	if err := Measure(res, pi, s.rates, s.model.EntryFrequency(pi, s.down)); err != nil {
 		return nil, fmt.Errorf("reward solve: %w", err)
 	}
 	return res, nil
@@ -145,7 +144,9 @@ func (s *Structure) FromPi(pi []float64) (*Result, error) {
 // are the down set) and its failure frequency — the steady-state rate of
 // entering the down set. It allocates nothing, so a caller that re-rates
 // and re-solves one chain shape per evaluation can keep res in place;
-// FromPi is Measure over a copy of π.
+// FromPi is Measure over a copy of π. A measure that comes out
+// non-finite (an MTBF of 1/failureFrequency when the frequency is
+// subnormal, say) is an error wrapping ctmc.ErrBadModel.
 func Measure(res *Result, pi, rates []float64, failureFrequency float64) error {
 	var expected, pDown float64
 	for i, p := range pi {
@@ -165,7 +166,27 @@ func Measure(res *Result, pi, rates []float64, failureFrequency float64) error {
 	}
 	var err error
 	res.LambdaEq, res.MuEq, err = ctmc.EquivalentRatesFrom(pDown, failureFrequency)
-	return err
+	if err != nil {
+		return err
+	}
+	for _, m := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"availability", res.Availability},
+		{"expected reward", res.ExpectedReward},
+		{"yearly downtime", res.YearlyDowntimeMinutes},
+		{"failure frequency", res.FailureFrequency},
+		{"MTBF", res.MTBFHours},
+		{"mean down duration", res.MeanDownDurationHours},
+		{"λ_eq", res.LambdaEq},
+		{"μ_eq", res.MuEq},
+	} {
+		if math.IsNaN(m.v) || math.IsInf(m.v, 0) {
+			return fmt.Errorf("%s is %g: %w", m.name, m.v, ctmc.ErrBadModel)
+		}
+	}
+	return nil
 }
 
 // DowntimeShare apportions steady-state downtime among disjoint groups of
@@ -184,7 +205,7 @@ func (s *Structure) DowntimeShare(pi []float64, groups map[string][]string) (map
 			if err != nil {
 				return nil, fmt.Errorf("group %q: %w", label, err)
 			}
-			if !s.downSet[st] {
+			if !s.down[st] {
 				return nil, fmt.Errorf("group %q: state %q is not a down state: %w", label, name, ErrReward)
 			}
 			p += pi[st]

@@ -3,6 +3,7 @@ package reward
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/ctmc"
@@ -232,63 +233,6 @@ func TestConstantsMatchPaper(t *testing.T) {
 	}
 }
 
-// TestLumpedPreservesMeasures: the product of two identical repairable
-// components in series lumps from 4 to 3 states with every availability
-// measure preserved exactly.
-func TestLumpedPreservesMeasures(t *testing.T) {
-	t.Parallel()
-	b := ctmc.NewBuilder()
-	uu := b.State("UU")
-	ud := b.State("UD")
-	du := b.State("DU")
-	dd := b.State("DD")
-	const la, mu = 0.05, 2.0
-	b.Transition(uu, ud, la)
-	b.Transition(uu, du, la)
-	b.Transition(ud, uu, mu)
-	b.Transition(du, uu, mu)
-	b.Transition(ud, dd, la)
-	b.Transition(du, dd, la)
-	b.Transition(dd, ud, mu)
-	b.Transition(dd, du, mu)
-	m, err := b.Build()
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	// Series system: up only when both components are up.
-	s, err := Binary(m, "UD", "DU", "DD")
-	if err != nil {
-		t.Fatalf("Binary: %v", err)
-	}
-	lumped, block, err := s.Lumped()
-	if err != nil {
-		t.Fatalf("Lumped: %v", err)
-	}
-	if lumped.Model().NumStates() != 3 {
-		t.Fatalf("lumped states = %d, want 3", lumped.Model().NumStates())
-	}
-	if block[1] != block[2] {
-		t.Error("symmetric states not merged")
-	}
-	full, err := s.Solve(ctmc.SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	red, err := lumped.Solve(ctmc.SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(full.Availability-red.Availability) > 1e-14 {
-		t.Errorf("availability: full %.15f, lumped %.15f", full.Availability, red.Availability)
-	}
-	if math.Abs(full.FailureFrequency-red.FailureFrequency) > 1e-16 {
-		t.Errorf("failure frequency: full %g, lumped %g", full.FailureFrequency, red.FailureFrequency)
-	}
-	if math.Abs(full.ExpectedReward-red.ExpectedReward) > 1e-14 {
-		t.Errorf("expected reward mismatch")
-	}
-}
-
 // TestMeasureMatchesFromPi: Measure into a reused Result gives FromPi's
 // measures bit for bit, whatever the Result held before, and FromPi's
 // error is Measure's.
@@ -317,7 +261,7 @@ func TestMeasureMatchesFromPi(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := Result{Availability: 7, MTBFHours: 7, MeanDownDurationHours: 7, MuEq: 7}
-	if err := Measure(&got, want.Pi, rates, m.EntryFrequency(want.Pi, s.DownStates())); err != nil {
+	if err := Measure(&got, want.Pi, rates, m.EntryFrequency(want.Pi, s.down)); err != nil {
 		t.Fatal(err)
 	}
 	fields := func(r *Result) [8]uint64 {
@@ -340,5 +284,28 @@ func TestMeasureMatchesFromPi(t *testing.T) {
 	merr := Measure(&got, want.Pi, make([]float64, 4), 0)
 	if ferr == nil || merr == nil || ferr.Error() != "reward solve: "+merr.Error() || !errors.Is(merr, ctmc.ErrBadModel) {
 		t.Errorf("all-down chain: FromPi err %v, Measure err %v", ferr, merr)
+	}
+}
+
+// TestNonFiniteMeasureRejected: a failure frequency so small that its
+// reciprocal overflows gives an infinite MTBF, which Solve and Measure
+// report as a model error instead of returning.
+func TestNonFiniteMeasureRejected(t *testing.T) {
+	t.Parallel()
+	m := buildTwoState(t, 1e-320, 1)
+	s, err := Binary(m, "Down")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Solve(ctmc.SolveOptions{})
+	if !errors.Is(err, ctmc.ErrBadModel) || !strings.Contains(err.Error(), "MTBF is +Inf") {
+		t.Fatalf("Solve = %+v, %v; want an ErrBadModel naming the infinite MTBF", res, err)
+	}
+	var got Result
+	if err := Measure(&got, []float64{1, 0}, []float64{1, 0}, math.SmallestNonzeroFloat64); !errors.Is(err, ctmc.ErrBadModel) {
+		t.Errorf("Measure with a subnormal frequency: err = %v, want ErrBadModel", err)
+	}
+	if err := Measure(&got, []float64{math.NaN(), 0.5}, []float64{1, 0}, 0.5); !errors.Is(err, ctmc.ErrBadModel) {
+		t.Errorf("Measure with a NaN probability: err = %v, want ErrBadModel", err)
 	}
 }
